@@ -8,7 +8,7 @@ matrix-level simulation.
 """
 
 from ._version import __version__
-from .detect import AMF, KELLY, DetectorKind, MisPoint, bose_convert, kalson, mis_point, stat_value
+from .detect import AMF, KELLY, DetectorKind, kalson
 from .mcengine import (
     DetectorPlan,
     MisSetup,
@@ -18,25 +18,20 @@ from .mcengine import (
     calibrate_snr,
     calibrate_threshold,
     ecdf,
-    estimate_prob,
     kelly_threshold,
     sweep,
 )
 from .mismatch import GerReport, MismatchSpec, OmegaSummary, check_ger, gen_sigma_t, omega_decompose
 from .randkit import GENERATOR_ID, StreamKey
 from .scenario import ScenarioCfg, build_cov, build_steering
-from .storep import RepSampler, make_sampler, sample_pair, sample_pairs
+from .storep import RepSampler, make_sampler, sample_pairs
 
 __all__ = [
     "__version__",
     "AMF",
     "KELLY",
     "DetectorKind",
-    "MisPoint",
-    "bose_convert",
     "kalson",
-    "mis_point",
-    "stat_value",
     "DetectorPlan",
     "MisSetup",
     "PfaEstimate",
@@ -45,7 +40,6 @@ __all__ = [
     "calibrate_snr",
     "calibrate_threshold",
     "ecdf",
-    "estimate_prob",
     "kelly_threshold",
     "sweep",
     "GerReport",
@@ -61,6 +55,5 @@ __all__ = [
     "build_steering",
     "RepSampler",
     "make_sampler",
-    "sample_pair",
     "sample_pairs",
 ]

@@ -20,20 +20,24 @@ import numpy as np
 
 from ._version import __version__
 from .config import ConfigError, RunConfig, canonical_json, config_hash, from_dict, load_user_dict
-from .detect import KELLY, DetectorKind, gen_data_batch, pairs_from_raw, raw_stats_batch
+from .detect import KELLY, DetectorKind
 from .matkit import NotPositiveDefiniteError
 from .mcengine import (
     DetectorPlan,
+    MisSetup,
     PfaEstimate,
     ThresholdTable,
+    _chunks,
     calibrate_entry,
     calibrate_snr,
     count_exceedances,
+    draw_pairs,
     ecdf,
     kelly_threshold,
     ks_2sample,
     ks_stat,
     nomismatch_sampler,
+    shutdown_pool,
     sweep,
 )
 from .mismatch import MismatchSpec, check_ger, gen_sigma_t
@@ -153,20 +157,11 @@ def cmd_validate(cfg: RunConfig, workers: int, path: str, out: Path) -> int:
     sigma_t, _ = gen_sigma_t(root.child(2), sigma, v, cfg.mismatch)
     m_side = 20_000
     fb, ft = sample_pairs(root.child(3), make_sampler(sigma, sigma_t, v, 0.0, k), m_side)
-    db_list, dt_list = [], []
-    chunk = 4096
-    done = 0
-    ci = 0
-    while done < m_side:
-        size = min(chunk, m_side - done)
-        x, xt = gen_data_batch(root.child(4, ci), sigma, sigma_t, 0.0, v, k, size)
-        b2, t2 = pairs_from_raw(*raw_stats_batch(x, xt, v))
-        db_list.append(b2)
-        dt_list.append(t2)
-        done += size
-        ci += 1
-    d1 = ks_2sample(fb, np.concatenate(db_list))
-    d2 = ks_2sample(ft, np.concatenate(dt_list))
+    setup = MisSetup(sigma=sigma, sigma_t=sigma_t, v=v, alpha_abs=0.0, k=k)
+    db, dt = zip(*(draw_pairs(root.child(4, ci), setup, size)
+                   for ci, size in _chunks(m_side, 4096)))
+    d1 = ks_2sample(fb, np.concatenate(db))
+    d2 = ks_2sample(ft, np.concatenate(dt))
     record(
         "oracle_equivalence",
         d1 < 0.02 and d2 < 0.02,
@@ -257,14 +252,6 @@ def cmd_cdf(cfg: RunConfig, workers: int, path: str, out: Path) -> int:
     return EXIT_OK
 
 
-def _sweep_rows_to_csv(res, out_path, meta) -> None:
-    rows = [
-        {name: getattr(row, name) for name in SWEEP_FIELDS}
-        for row in res.rows
-    ]
-    write_csv(out_path, SWEEP_FIELDS, rows, meta)
-
-
 def _summarize(res, with_pd: bool) -> dict:
     by_label: dict[str, list] = {}
     for row in res.rows:
@@ -290,6 +277,22 @@ def _summarize(res, with_pd: bool) -> dict:
     return summary
 
 
+def _finish_sweep(res, out: Path, name: str, meta: dict, head: dict, summary: dict) -> int:
+    """Write ``<name>.csv`` and ``<name>_summary.json``, report failed draws,
+    and return the exit code."""
+    rows = [{field: getattr(row, field) for field in SWEEP_FIELDS} for row in res.rows]
+    write_csv(out / f"{name}.csv", SWEEP_FIELDS, rows, meta)
+    write_json(out / f"{name}_summary.json", {
+        **head,
+        "summary": summary,
+        "errors": [list(e) for e in res.errors],
+    }, meta)
+    _print(f"wrote {out / f'{name}.csv'} ({len(res.rows)} rows)")
+    for draw_id, err in res.errors:
+        _print(f"draw {draw_id} failed: {err}")
+    return EXIT_NUMERIC if res.errors else EXIT_OK
+
+
 def cmd_sweep(cfg: RunConfig, workers: int, path: str, out: Path) -> int:
     sc = cfg.scenario
     table = _calibrate_table(cfg, workers)
@@ -304,13 +307,7 @@ def cmd_sweep(cfg: RunConfig, workers: int, path: str, out: Path) -> int:
     res = sweep(StreamKey(cfg.seed).child(_EXP_SWEEP), sc, cfg.mismatch, plans,
                 cfg.n_draws, cfg.trials.pfa, workers=workers, path=path)
     meta = run_meta(cfg)
-    _sweep_rows_to_csv(res, out / "sweep.csv", meta)
     summary = _summarize(res, with_pd=False)
-    write_json(out / "sweep_summary.json", {
-        "thresholds": table.to_jsonable(),
-        "summary": summary,
-        "errors": [list(e) for e in res.errors],
-    }, meta)
 
     series = []
     for plan in plans:
@@ -329,12 +326,7 @@ def cmd_sweep(cfg: RunConfig, workers: int, path: str, out: Path) -> int:
             if "mean_log10_pfa" in entry else "all draws at zero exceedances"
         )
         _print(f"{label:>18s}: {mean_part} zero-draws={entry['zero_exceedance_draws']}")
-    _print(f"wrote {out / 'sweep.csv'} ({len(res.rows)} rows)")
-    if res.errors:
-        for draw_id, err in res.errors:
-            _print(f"draw {draw_id} failed: {err}")
-        return EXIT_NUMERIC
-    return EXIT_OK
+    return _finish_sweep(res, out, "sweep", meta, {"thresholds": table.to_jsonable()}, summary)
 
 
 def cmd_roc(cfg: RunConfig, workers: int, path: str, out: Path) -> int:
@@ -355,14 +347,7 @@ def cmd_roc(cfg: RunConfig, workers: int, path: str, out: Path) -> int:
                 cfg.n_draws, cfg.trials.pfa, with_pd=True, pd_trials=cfg.trials.pd,
                 workers=workers, path=path)
     meta = run_meta(cfg)
-    _sweep_rows_to_csv(res, out / "roc.csv", meta)
     summary = _summarize(res, with_pd=True)
-    write_json(out / "roc_summary.json", {
-        "thresholds": table.to_jsonable(),
-        "snr": snr_report,
-        "summary": summary,
-        "errors": [list(e) for e in res.errors],
-    }, meta)
 
     series = []
     for plan in plans:
@@ -378,12 +363,8 @@ def cmd_roc(cfg: RunConfig, workers: int, path: str, out: Path) -> int:
     for label, entry in summary.items():
         pd_part = f"mean Pd={entry['mean_pd']:.3f} std={entry['std_pd']:.3f}" if "mean_pd" in entry else ""
         _print(f"{label:>12s}: mean Pfa={entry['mean_pfa']:.3e} {pd_part}")
-    _print(f"wrote {out / 'roc.csv'} ({len(res.rows)} rows)")
-    if res.errors:
-        for draw_id, err in res.errors:
-            _print(f"draw {draw_id} failed: {err}")
-        return EXIT_NUMERIC
-    return EXIT_OK
+    return _finish_sweep(res, out, "roc", meta,
+                         {"thresholds": table.to_jsonable(), "snr": snr_report}, summary)
 
 
 _COMMANDS = {
@@ -421,6 +402,8 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    finally:
+        shutdown_pool()
 
 
 if __name__ == "__main__":

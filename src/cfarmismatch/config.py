@@ -68,7 +68,7 @@ SCHEMA = {
             "type": "array",
             "items": {"type": "number", "exclusiveMinimum": 0},
         },
-        "seed": {"type": "integer", "minimum": 0},
+        "seed": {"type": "integer", "minimum": 0, "maximum": 2**64 - 1},
         "n_draws": {"type": "integer", "minimum": 1},
         "n_cdf_draws": {"type": "integer", "minimum": 1},
         "trials": {

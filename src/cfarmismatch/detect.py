@@ -16,24 +16,6 @@ from .randkit import _generator, standard_circular
 
 KINDS = ("kelly", "amf", "kalson")
 
-# Relative slack for the Cauchy-Schwarz ordering s1 >= s2 when the two are
-# computed in floating point from a nearly collinear pair.
-_ORDER_TOL = 1e-9
-
-
-@dataclass(frozen=True)
-class MisPoint:
-    """Loss factor and whitened GLRT statistic for one trial."""
-
-    beta: float
-    t_tilde: float
-
-    def __post_init__(self):
-        if not (0.0 < self.beta <= 1.0):
-            raise ValueError(f"beta must lie in (0, 1], got {self.beta}")
-        if self.t_tilde < 0.0:
-            raise ValueError(f"t_tilde must be >= 0, got {self.t_tilde}")
-
 
 @dataclass(frozen=True)
 class DetectorKind:
@@ -60,14 +42,9 @@ def kalson(kappa: float) -> DetectorKind:
     return DetectorKind("kalson", kappa=float(kappa))
 
 
-def gen_data(stream, sigma, sigma_t, alpha_abs, v, k):
-    """One trial: x = alpha*v + noise(sigma) and K training columns from sigma_t."""
-    x, xt = gen_data_batch(stream, sigma, sigma_t, alpha_abs, v, k, 1)
-    return x[0], xt[0]
-
-
 def gen_data_batch(stream, sigma, sigma_t, alpha_abs, v, k, n_batch):
-    """Vectorized gen_data: returns x of shape (n_batch, N), X_t of (n_batch, N, K).
+    """n_batch trials: x = alpha*v + noise(sigma) of shape (n_batch, N) and
+    K training columns from sigma_t, X_t of shape (n_batch, N, K).
 
     Draw order is pinned (test noise first, then training noise) so a stream
     key maps to one reproducible data set.
@@ -89,7 +66,11 @@ def gen_data_batch(stream, sigma, sigma_t, alpha_abs, v, k, n_batch):
 
 
 def raw_stats(x, xt, v):
-    """(s1, s2) from one trial: the pair every detector is a function of."""
+    """(s1, s2) from one trial: the pair every detector is a function of.
+
+    Scalar LAPACK route, kept as the independent reference that
+    ``raw_stats_batch`` is tested against.
+    """
     st = xt @ xt.conj().T
     l = chol(0.5 * (st + st.conj().T))
     a = solve_lower(l, x)
@@ -113,27 +94,11 @@ def raw_stats_batch(x, xt, v):
     return s1, s2
 
 
-def mis_point(s1, s2) -> MisPoint:
-    """Reduce (s1, s2) to the invariant pair (beta, t_tilde)."""
-    s1 = float(s1)
-    s2 = float(s2)
-    if s2 < 0 or s1 < s2 - _ORDER_TOL * max(1.0, s1):
-        raise ValueError(f"need s1 >= s2 >= 0, got s1={s1}, s2={s2}")
-    d = max(s1 - s2, 0.0)
-    beta = 1.0 / (1.0 + d)
-    return MisPoint(beta=beta, t_tilde=s2 * beta)
-
-
 def pairs_from_raw(s1, s2):
-    """Vectorized mis_point on arrays; returns (beta, t_tilde) arrays."""
+    """Reduce (s1, s2) arrays to the invariant pair: (beta, t_tilde) arrays."""
     d = np.maximum(np.asarray(s1, dtype=float) - np.asarray(s2, dtype=float), 0.0)
     beta = 1.0 / (1.0 + d)
     return beta, np.asarray(s2, dtype=float) * beta
-
-
-def stat_value(kind: DetectorKind, p: MisPoint) -> float:
-    """Detector statistic at one point."""
-    return float(stat_values(kind, p.beta, p.t_tilde))
 
 
 def stat_values(kind: DetectorKind, beta, t_tilde):
@@ -143,8 +108,3 @@ def stat_values(kind: DetectorKind, beta, t_tilde):
     if kind.kind == "amf":
         return t_tilde / beta
     return t_tilde / (1.0 + beta * (kind.kappa - 1.0))
-
-
-def bose_convert(p: MisPoint):
-    """The equivalent invariant pair (rho, eta) = (beta, 1/(1+t_tilde))."""
-    return p.beta, 1.0 / (1.0 + p.t_tilde)

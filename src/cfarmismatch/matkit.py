@@ -61,14 +61,6 @@ def heig(a: np.ndarray) -> EigPair:
     return EigPair(values=vals[::-1].copy(), vectors=vecs[:, ::-1].copy())
 
 
-def hermitian_sqrt(a: np.ndarray) -> np.ndarray:
-    """The unique Hermitian PSD square root U diag(sqrt(eig)) U^H."""
-    e = heig(a)
-    if np.any(e.values < 0):
-        raise NotPositiveDefiniteError(int(np.argmin(e.values)) + 1)
-    return hermitian_part(e.vectors @ (np.sqrt(e.values)[:, None] * e.vectors.conj().T))
-
-
 def ortho_complement(v: np.ndarray) -> np.ndarray:
     """Semi-unitary basis of the orthogonal complement of a unit vector.
 

@@ -19,7 +19,7 @@ from .detect import DetectorKind, gen_data_batch, kalson, pairs_from_raw, raw_st
 from .mismatch import MismatchSpec, gen_sigma_t, omega_decompose
 from .randkit import cf1_survival, wilson_ci
 from .scenario import ScenarioCfg, build_cov, build_steering, snr_to_alpha
-from .storep import RepSampler, make_sampler, sample_pairs
+from .storep import RepSampler, sample_pairs
 
 CHUNK_FAST = 1 << 16
 CHUNK_DIRECT = 1 << 11
@@ -116,7 +116,8 @@ class ThresholdTable:
 
 @dataclass(frozen=True)
 class MisSetup:
-    """One fully specified simulation point: covariances, steering, amplitude, K."""
+    """One fully specified simulation point for the direct (matrix) path:
+    covariances, steering, amplitude, K."""
 
     sigma: np.ndarray
     sigma_t: np.ndarray
@@ -206,35 +207,77 @@ def _chunks(n_total: int, chunk: int):
     return out
 
 
+# One worker pool per process, as (workers, executor), reused across calls
+# until the worker count changes or the pool breaks; the CLI shuts it down
+# when a run ends.
+_pool = None
+
+
 def _map_chunks(fn, args_list, workers: int):
+    global _pool
     if workers <= 1:
         return [fn(a) for a in args_list]
-    with ProcessPoolExecutor(max_workers=workers) as ex:
-        return list(ex.map(fn, args_list))
+    if _pool is None or _pool[0] != workers or _pool[1]._broken:
+        shutdown_pool()
+        _pool = (workers, ProcessPoolExecutor(max_workers=workers))
+    return list(_pool[1].map(fn, args_list))
 
 
-def _fast_stats_chunk(args):
-    stream, sampler, kind, size = args
-    beta, t = sample_pairs(stream, sampler, size)
-    return np.asarray(stat_values(kind, beta, t), dtype=float)
+def shutdown_pool() -> None:
+    """Stop the shared worker pool, if one is running."""
+    global _pool
+    if _pool is not None:
+        _pool[1].shutdown()
+        _pool = None
 
 
-def _fast_count_chunk(args):
-    stream, sampler, kind, threshold, size = args
-    beta, t = sample_pairs(stream, sampler, size)
-    return int(np.count_nonzero(stat_values(kind, beta, t) > threshold))
+def draw_pairs(stream, source, size: int):
+    """(beta, t_tilde) arrays for one chunk of trials.
+
+    ``source`` is a RepSampler (fast path: the representation sampler) or a
+    MisSetup (direct path: full matrices reduced by the raw statistics).
+    """
+    if isinstance(source, RepSampler):
+        return sample_pairs(stream, source, size)
+    x, xt = gen_data_batch(stream, source.sigma, source.sigma_t, source.alpha_abs,
+                           source.v, source.k, size)
+    return pairs_from_raw(*raw_stats_batch(x, xt, source.v))
 
 
-def _direct_count_chunk(args):
-    stream, setup, kind, threshold, size = args
-    x, xt = gen_data_batch(stream, setup.sigma, setup.sigma_t, setup.alpha_abs, setup.v, setup.k, size)
-    beta, t = pairs_from_raw(*raw_stats_batch(x, xt, setup.v))
-    return int(np.count_nonzero(stat_values(kind, beta, t) > threshold))
+def _count_chunk(args):
+    stream, source, scores, size = args
+    beta, t = draw_pairs(stream, source, size)
+    return [int(np.count_nonzero(stat_values(kind, beta, t) > threshold))
+            for kind, threshold in scores]
+
+
+def _count(stream, source, scores, n_trials: int, workers: int = 1) -> list[int]:
+    """Exceedance counts of every (kind, threshold) in ``scores`` on shared trials.
+
+    Chunk ``ci`` of ``n_trials`` draws from ``stream.child(ci)``; the chunk
+    size is fixed by the source type, so counts never depend on ``workers``.
+    """
+    chunk = CHUNK_FAST if isinstance(source, RepSampler) else CHUNK_DIRECT
+    args = [(stream.child(ci), source, scores, size) for ci, size in _chunks(n_trials, chunk)]
+    return [sum(col) for col in zip(*_map_chunks(_count_chunk, args, workers))]
+
+
+def _tail_chunk(args):
+    stream, sampler, kind, size, keep = args
+    vals = np.asarray(stat_values(kind, *draw_pairs(stream, sampler, size)), dtype=float)
+    if size <= keep:
+        return vals
+    return np.partition(vals, size - keep)[size - keep:]
 
 
 def calibrate_threshold(stream, kind: DetectorKind, n: int, k: int, pfa_target: float,
                         n_trials: int, workers: int = 1) -> float:
     """Empirical (1 - pfa_target)-quantile of the matched H0 statistic.
+
+    Each chunk returns only its largest n_trials - k_ord values: the
+    quantile is the smallest of the overall top n_trials - k_ord, and every
+    one of those is among its own chunk's top, so the order statistic is
+    exact while IPC and memory stay at the tail's size.
 
     The GLRT entry is cross-checked against its closed form; disagreement
     beyond five binomial sigmas means the sampler or the quantile is broken,
@@ -247,11 +290,13 @@ def calibrate_threshold(stream, kind: DetectorKind, n: int, k: int, pfa_target: 
         raise ValueError(
             f"n_trials={n_trials} too small for pfa_target={pfa_target}; need >= {required}"
         )
-    sampler = nomismatch_sampler(n, k)
-    args = [(stream.child(ci), sampler, kind, size) for ci, size in _chunks(n_trials, CHUNK_FAST)]
-    vals = np.concatenate(_map_chunks(_fast_stats_chunk, args, workers))
     k_ord = min(n_trials - 1, max(0, int(np.ceil((1.0 - pfa_target) * n_trials)) - 1))
-    threshold = float(np.partition(vals, k_ord)[k_ord])
+    keep = n_trials - k_ord
+    sampler = nomismatch_sampler(n, k)
+    args = [(stream.child(ci), sampler, kind, size, keep)
+            for ci, size in _chunks(n_trials, CHUNK_FAST)]
+    tail = np.concatenate(_map_chunks(_tail_chunk, args, workers))
+    threshold = float(np.partition(tail, tail.size - keep)[tail.size - keep])
     is_glrt = kind.kind == "kelly" or (kind.kind == "kalson" and kind.kappa == 1.0)
     if is_glrt:
         implied = cf1_survival(threshold, k - n + 1)
@@ -268,11 +313,8 @@ def calibrate_entry(stream, kind: DetectorKind, n: int, k: int, pfa_target: floa
                     n_trials: int, workers: int = 1) -> ThresholdEntry:
     """Threshold plus an achieved-pfa estimate on a sibling stream (fresh samples)."""
     threshold = calibrate_threshold(stream.child(0), kind, n, k, pfa_target, n_trials, workers)
-    sampler = nomismatch_sampler(n, k)
-    check_stream = stream.child(1)
-    args = [(check_stream.child(ci), sampler, kind, threshold, size)
-            for ci, size in _chunks(n_trials, CHUNK_FAST)]
-    count = sum(_map_chunks(_fast_count_chunk, args, workers))
+    (count,) = _count(stream.child(1), nomismatch_sampler(n, k), ((kind, threshold),),
+                      n_trials, workers)
     return ThresholdEntry(
         kind=kind,
         n=n,
@@ -284,31 +326,11 @@ def calibrate_entry(stream, kind: DetectorKind, n: int, k: int, pfa_target: floa
     )
 
 
-def estimate_prob(stream, kind: DetectorKind, threshold: float, setup: MisSetup,
-                  n_trials: int, path: str = "fast", workers: int = 1) -> PfaEstimate:
-    """Exceedance probability of a detector at a threshold for one mismatch point."""
-    if threshold < 0:
-        raise ValueError(f"threshold must be >= 0, got {threshold}")
-    if path == "fast":
-        sampler = make_sampler(setup.sigma, setup.sigma_t, setup.v, setup.alpha_abs, setup.k)
-        args = [(stream.child(ci), sampler, kind, threshold, size)
-                for ci, size in _chunks(n_trials, CHUNK_FAST)]
-        count = sum(_map_chunks(_fast_count_chunk, args, workers))
-    elif path == "direct":
-        args = [(stream.child(ci), setup, kind, threshold, size)
-                for ci, size in _chunks(n_trials, CHUNK_DIRECT)]
-        count = sum(_map_chunks(_direct_count_chunk, args, workers))
-    else:
-        raise ValueError(f"path must be 'fast' or 'direct', got {path!r}")
-    return PfaEstimate.from_counts(count, n_trials)
-
-
-def count_exceedances(stream, kind: DetectorKind, threshold: float, sampler: RepSampler,
+def count_exceedances(stream, kind: DetectorKind, threshold: float, source,
                       n_trials: int, workers: int = 1) -> int:
-    """Fast-path exceedance count for a prebuilt sampler (chunked, deterministic)."""
-    args = [(stream.child(ci), sampler, kind, threshold, size)
-            for ci, size in _chunks(n_trials, CHUNK_FAST)]
-    return sum(_map_chunks(_fast_count_chunk, args, workers))
+    """Exceedance count of one detector over ``n_trials`` trials from ``source``,
+    a RepSampler (fast path) or a MisSetup (direct path)."""
+    return _count(stream, source, ((kind, threshold),), n_trials, workers)[0]
 
 
 def calibrate_snr(stream, kind: DetectorKind, threshold: float, sigma, v, pd_target: float,
@@ -384,55 +406,29 @@ def _sweep_draw(args):
         base = RepSampler(n=n, k=k, lam=om.lam, l11=om.omega11_factor, w=om.w,
                           r=om.schur, gamma_t=0.0)
         digest = meta_digest(meta, om.schur)
-        chunk = CHUNK_FAST if path == "fast" else CHUNK_DIRECT
 
-        def draw_pairs(stream_c, size, alpha_abs, h1_sampler):
+        def source(alpha_abs):
             if path == "fast":
-                return sample_pairs(stream_c, h1_sampler, size)
-            x, xt = gen_data_batch(stream_c, sigma, sigma_t, alpha_abs, v, k, size)
-            return pairs_from_raw(*raw_stats_batch(x, xt, v))
+                return dataclasses.replace(base, gamma_t=alpha_abs**2 * om.vt_quad)
+            return MisSetup(sigma=sigma, sigma_t=sigma_t, v=v, alpha_abs=alpha_abs, k=k)
 
-        counts = [0] * len(plans)
         kinds = [plan.resolve(om.schur) for plan in plans]
-        for ci, size in _chunks(n_trials, chunk):
-            beta, t = draw_pairs(draw_stream.child(_PURPOSE_H0, ci), size, 0.0, base)
-            for pi, kd in enumerate(kinds):
-                counts[pi] += int(np.count_nonzero(stat_values(kd, beta, t) > plans[pi].threshold))
+        counts = _count(draw_stream.child(_PURPOSE_H0), source(0.0),
+                        tuple((kd, plan.threshold) for kd, plan in zip(kinds, plans)), n_trials)
 
-        pd_counts = [None] * len(plans)
-        if with_pd:
-            for pi, plan in enumerate(plans):
+        rows = []
+        for pi, (plan, kd, count) in enumerate(zip(plans, kinds, counts)):
+            est = PfaEstimate.from_counts(count, n_trials)
+            pd_fields = {}
+            if with_pd:
                 if plan.snr_linear is None:
                     raise ValueError(f"plan {plan.label!r} has no calibrated SNR for P_d rows")
                 alpha_abs = snr_to_alpha(plan.snr_linear, sigma, v)
-                h1 = dataclasses.replace(base, gamma_t=alpha_abs**2 * om.vt_quad)
-                c = 0
-                for ci, size in _chunks(pd_trials, chunk):
-                    beta, t = draw_pairs(draw_stream.child(_PURPOSE_H1, pi, ci), size, alpha_abs, h1)
-                    c += int(np.count_nonzero(stat_values(kinds[pi], beta, t) > plan.threshold))
-                pd_counts[pi] = c
-
-        rows = []
-        for pi, plan in enumerate(plans):
-            est = PfaEstimate.from_counts(counts[pi], n_trials)
-            kd = kinds[pi]
-            kappa = kd.kappa if kd.kind == "kalson" else None
-            row = dict(
-                draw_id=draw_id,
-                variant=mspec.variant,
-                draw_meta=digest,
-                detector=plan.label,
-                kappa=kappa,
-                n_trials=n_trials,
-                exceedances=est.exceedances,
-                pfa_hat=est.p_hat,
-                ci_lo=est.ci_lo,
-                ci_hi=est.ci_hi,
-            )
-            if with_pd:
-                pe = PfaEstimate.from_counts(pd_counts[pi], pd_trials)
+                (pd_count,) = _count(draw_stream.child(_PURPOSE_H1, pi), source(alpha_abs),
+                                     ((kd, plan.threshold),), pd_trials)
+                pe = PfaEstimate.from_counts(pd_count, pd_trials)
                 snr_db = 10.0 * np.log10(plan.snr_linear) if plan.snr_linear > 0 else float("-inf")
-                row.update(
+                pd_fields = dict(
                     snr_db=snr_db,
                     pd_n_trials=pd_trials,
                     pd_exceedances=pe.exceedances,
@@ -440,7 +436,19 @@ def _sweep_draw(args):
                     pd_ci_lo=pe.ci_lo,
                     pd_ci_hi=pe.ci_hi,
                 )
-            rows.append(SweepRow(**row))
+            rows.append(SweepRow(
+                draw_id=draw_id,
+                variant=mspec.variant,
+                draw_meta=digest,
+                detector=plan.label,
+                kappa=kd.kappa,
+                n_trials=n_trials,
+                exceedances=est.exceedances,
+                pfa_hat=est.p_hat,
+                ci_lo=est.ci_lo,
+                ci_hi=est.ci_hi,
+                **pd_fields,
+            ))
         return draw_id, rows, None
     except Exception as exc:  # noqa: BLE001 - per-draw failures are recorded, sweep continues
         return draw_id, [], f"{type(exc).__name__}: {exc}"

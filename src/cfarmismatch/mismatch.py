@@ -19,7 +19,6 @@ from .matkit import (
     check_hermitian,
     heig,
     hermitian_part,
-    hermitian_sqrt,
     ortho_complement,
     solve_hpd,
     solve_lower,
@@ -73,18 +72,16 @@ class OmegaSummary:
 
     ``lam`` are the descending eigenvalues of the leading (N-1) block,
     ``w`` the row mapping the leading whitened coordinates into the test
-    coordinate (scalar contribution = w @ x1, plain dot), ``schur`` the
-    Schur complement of that block, and ``ratio`` the same quantity
-    recomputed independently as v^H inv(St) v / v^H inv(S) v.
+    coordinate (scalar contribution = w @ x1, plain dot), and ``schur`` the
+    Schur complement of that block, checked against its independent form
+    v^H inv(St) v / v^H inv(S) v.
     """
 
     lam: np.ndarray
-    omega11: np.ndarray
     omega11_factor: np.ndarray
     w: np.ndarray
     schur: float
     vt_quad: float
-    ratio: float
 
 
 def _db_uniform(rng: np.random.Generator, half_width_db: float, size: int | None = None):
@@ -172,29 +169,15 @@ def check_ger(sigma: np.ndarray, sigma_t: np.ndarray, v: np.ndarray, tol: float 
     return GerReport(residual=residual, lambda_ger=float(coef.real), holds=residual < tol)
 
 
-def omega_decompose(
-    sigma: np.ndarray,
-    sigma_t: np.ndarray,
-    v: np.ndarray,
-    sqrt_method: str = "chol",
-) -> OmegaSummary:
-    """Whiten by the training covariance, rotate v onto the last axis, partition.
-
-    ``sqrt_method`` selects the square root used for the whitening factors
-    ("chol" or "hermitian"); rotation-invariant outputs (sorted eigenvalues,
-    row norm, Schur complement) do not depend on the choice.
-    """
+def omega_decompose(sigma: np.ndarray, sigma_t: np.ndarray, v: np.ndarray) -> OmegaSummary:
+    """Whiten by the training covariance, rotate v onto the last axis, partition."""
     sigma = check_hermitian(sigma, what="sigma")
     sigma_t = check_hermitian(sigma_t, what="sigma_t")
     n = sigma.shape[0]
-    factors = {"chol": chol, "hermitian": hermitian_sqrt}
-    if sqrt_method not in factors:
-        raise ValueError(f"sqrt_method must be one of {tuple(factors)}, got {sqrt_method!r}")
-    factor = factors[sqrt_method]
 
     vperp = ortho_complement(v / np.linalg.norm(v))
-    gt = factor(sigma_t)
-    ft = factor(hermitian_part(vperp.conj().T @ sigma_t @ vperp))
+    gt = chol(sigma_t)
+    ft = chol(hermitian_part(vperp.conj().T @ sigma_t @ vperp))
     # Unitary Q = [Gt^H Vperp Ft^-H, Gt^-1 v / ||Gt^-1 v||]: sends the
     # whitened steering vector onto the last canonical axis.
     left = _right_div_conj(gt.conj().T @ vperp, ft)
@@ -223,10 +206,8 @@ def omega_decompose(
         )
     return OmegaSummary(
         lam=lam,
-        omega11=omega11,
         omega11_factor=chol(omega11),
         w=w,
         schur=schur,
         vt_quad=vt_quad,
-        ratio=ratio,
     )

@@ -75,26 +75,6 @@ def standard_circular(rng: np.random.Generator, shape) -> np.ndarray:
     return (z[..., 0] + 1j * z[..., 1]) / np.sqrt(2.0)
 
 
-def sample_cnormal(stream, mean: np.ndarray, cov_factor: np.ndarray, size: int | None = None) -> np.ndarray:
-    """Draw from CN(mean, G G^H) as mean + G u, G lower-triangular.
-
-    With ``size`` given, returns a (size, n) stack of independent draws.
-    """
-    rng = _generator(stream)
-    mean = np.asarray(mean, dtype=np.complex128)
-    g = np.asarray(cov_factor, dtype=np.complex128)
-    n = mean.shape[0]
-    if g.shape != (n, n):
-        raise ValueError(f"cov_factor shape {g.shape} does not match mean length {n}")
-    if np.any(np.abs(np.triu(g, 1)) > 0) or np.any(g.real[np.diag_indices(n)] <= 0):
-        raise ValueError("cov_factor must be lower-triangular with positive diagonal")
-    if size is None:
-        u = standard_circular(rng, (n,))
-        return mean + g @ u
-    u = standard_circular(rng, (size, n))
-    return mean[None, :] + u @ g.T
-
-
 def sample_cwishart(stream, n: int, dof: int, scale_factor: np.ndarray) -> np.ndarray:
     """Draw from the complex Wishart CW(dof, G G^H) as G (Z Z^H) G^H.
 
@@ -111,44 +91,6 @@ def sample_cwishart(stream, n: int, dof: int, scale_factor: np.ndarray) -> np.nd
     m = g @ z
     w = m @ m.conj().T
     return 0.5 * (w + w.conj().T)
-
-
-def sample_cchi2(stream, p: int, delta=0.0, size: int | None = None) -> np.ndarray | float:
-    """Complex chi-square with p degrees of freedom, noncentrality delta.
-
-    Central draws are Gamma(p, 1); noncentral uses
-    |CN(sqrt(delta), 1)|^2 + Gamma(p-1, 1). ``delta`` may be an array
-    (broadcast against ``size``).
-    """
-    if p < 1:
-        raise ValueError(f"dof p must be >= 1, got {p}")
-    delta = np.asarray(delta, dtype=float)
-    if np.any(delta < 0):
-        raise ValueError("noncentrality delta must be >= 0")
-    rng = _generator(stream)
-    shape = () if size is None else (size,)
-    if delta.ndim == 0 and delta == 0.0:
-        out = rng.gamma(p, 1.0, size=shape or None)
-        return float(out) if size is None else out
-    z = standard_circular(rng, shape if shape else (1,))
-    z = z.reshape(shape) if shape else z[0]
-    head = np.abs(np.sqrt(delta) + z) ** 2
-    if p > 1:
-        head = head + rng.gamma(p - 1, 1.0, size=shape or None)
-    return float(head) if size is None else np.asarray(head)
-
-
-def sample_cF(stream, p: int, q: int, delta=0.0, size: int | None = None) -> np.ndarray | float:
-    """Complex F variate: ratio of independent Cchi2(p, delta) and Cchi2(q, 0).
-
-    No degrees-of-freedom normalization is applied to the ratio.
-    """
-    if q < 1:
-        raise ValueError(f"dof q must be >= 1, got {q}")
-    rng = _generator(stream)
-    num = sample_cchi2(rng, p, delta, size=size)
-    den = sample_cchi2(rng, q, 0.0, size=size)
-    return num / den
 
 
 def cf1_survival(t, q: int):

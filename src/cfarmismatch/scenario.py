@@ -23,7 +23,6 @@ class ScenarioCfg:
     cnr_db: float = 20.0
     rho1: float = 0.95
     fd: float = 0.08
-    snr_db: float | None = None
 
     def __post_init__(self):
         if self.n < 2:

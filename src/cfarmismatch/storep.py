@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .detect import MisPoint
 from .mismatch import omega_decompose
 from .randkit import _generator, standard_circular
 
@@ -49,12 +48,12 @@ class RepSampler:
             raise ValueError(f"gamma_t must be >= 0, got {self.gamma_t}")
 
 
-def make_sampler(sigma, sigma_t, v, alpha_abs, k, sqrt_method: str = "chol") -> RepSampler:
+def make_sampler(sigma, sigma_t, v, alpha_abs, k) -> RepSampler:
     """Build the sampler state for a (sigma, sigma_t, v, alpha) point with K snapshots."""
     alpha_abs = float(alpha_abs)
     if alpha_abs < 0:
         raise ValueError(f"alpha_abs must be real nonnegative, got {alpha_abs}")
-    om = omega_decompose(sigma, sigma_t, v, sqrt_method=sqrt_method)
+    om = omega_decompose(sigma, sigma_t, v)
     n = sigma.shape[0]
     return RepSampler(
         n=n,
@@ -68,7 +67,7 @@ def make_sampler(sigma, sigma_t, v, alpha_abs, k, sqrt_method: str = "chol") -> 
 
 
 def sample_pairs(stream, s: RepSampler, size: int):
-    """Vectorized sample_pair: returns (beta, t_tilde) arrays of length ``size``.
+    """Draw ``size`` invariant pairs; returns (beta, t_tilde) arrays.
 
     Exact per-draw recipe, draw order pinned:
       1. x1 = L11 @ u with u standard circular of length N-1;
@@ -93,19 +92,14 @@ def sample_pairs(stream, s: RepSampler, size: int):
     return beta, c * num / den
 
 
-def sample_pair(stream, s: RepSampler) -> MisPoint:
-    """One draw of the invariant pair under the sampler's mismatch geometry."""
-    beta, t = sample_pairs(stream, s, 1)
-    return MisPoint(beta=float(beta[0]), t_tilde=float(t[0]))
-
-
 def sample_pairs_ger(stream, lam, r, gamma_t, n, k, size: int):
     """Vectorized sampler for the collinear-gain case (cross row identically zero).
 
     Same recipe as ``sample_pairs`` with x1 = sqrt(lam) * u, so the
     noncentrality reduces to beta * gamma_t / c. Draw order matches
     sample_pairs so the two agree draw for draw when w = 0 and
-    L11 = diag(sqrt(lam)).
+    L11 = diag(sqrt(lam)). Kept as an independent reference that
+    ``sample_pairs`` is tested against.
     """
     lam = np.asarray(lam, dtype=float)
     if lam.shape != (n - 1,) or np.any(lam <= 0):
@@ -124,9 +118,3 @@ def sample_pairs_ger(stream, lam, r, gamma_t, n, k, size: int):
     num = np.abs(np.sqrt(delta) + z) ** 2
     den = rng.gamma(k - n + 1, 1.0, size=size)
     return beta, c * num / den
-
-
-def sample_pair_ger(stream, lam, r, gamma_t, n, k) -> MisPoint:
-    """One draw from the collinear-gain representation."""
-    beta, t = sample_pairs_ger(stream, lam, r, gamma_t, n, k, 1)
-    return MisPoint(beta=float(beta[0]), t_tilde=float(t[0]))

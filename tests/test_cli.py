@@ -6,6 +6,7 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
+from cfarmismatch import mcengine
 from cfarmismatch.cli import SWEEP_FIELDS, main
 from cfarmismatch.config import config_hash, from_dict
 from cfarmismatch.mcengine import ThresholdTable, kelly_threshold
@@ -230,6 +231,43 @@ def test_roc_joint_estimates_identity(tmp_path):
     assert snr["snr_db"] == pytest.approx(10.0 * np.log10(snr["snr_linear"]))
     assert obj["summary"]["kelly"]["mean_pd"] == pytest.approx(0.7, abs=0.05)
     assert ET.parse(out / "roc_scatter.svg").getroot() is not None
+
+
+@pytest.fixture
+def counted_pools(monkeypatch):
+    """Counts constructions and shutdowns of the engine's worker pools."""
+    mcengine.shutdown_pool()
+    counts = {"built": 0, "shut": 0}
+
+    class CountedPool(mcengine.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            counts["built"] += 1
+
+        def shutdown(self, *args, **kwargs):
+            counts["shut"] += 1
+            super().shutdown(*args, **kwargs)
+
+    monkeypatch.setattr(mcengine, "ProcessPoolExecutor", CountedPool)
+    return counts
+
+
+@pytest.mark.parametrize("mismatch,code", [
+    ({"variant": "identity"}, 0),
+    ({"variant": "inv_wishart", "nu": 16}, 3),  # nu <= N fails every draw
+])
+def test_one_worker_pool_per_run(tmp_path, counted_pools, mismatch, code):
+    cfg = {
+        "seed": 913,
+        "mismatch": mismatch,
+        "detectors": [{"kind": "kelly"}],
+        "n_draws": 2,
+        "pfa_target": 1e-2,
+        "trials": {"calibration": 10_000, "pfa": 1_000, "pd": 1_000},
+    }
+    path = write_cfg(tmp_path, "cfg.json", cfg)
+    assert main(["roc", "--config", path, "--out", str(tmp_path / "res"), "--workers", "2"]) == code
+    assert counted_pools == {"built": 1, "shut": 1}
 
 
 def test_validate_command_passes(tmp_path, capsys):

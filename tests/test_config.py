@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from cfarmismatch.cli import main
 from cfarmismatch.config import (
     DEFAULTS,
     ConfigError,
@@ -134,6 +135,15 @@ def test_config_hash_sensitive_to_values():
     n1 = normalize({"seed": 3})
     n2 = normalize({"seed": 4})
     assert config_hash(n1) != config_hash(n2)
+
+
+def test_seed_must_fit_in_64_bits(tmp_path):
+    # Stream keys mask the seed to 64 bits, so a larger seed would silently
+    # replay another seed's streams under a different config hash.
+    assert normalize({"seed": 2**64 - 1})["seed"] == 2**64 - 1
+    with pytest.raises(ConfigError, match="seed"):
+        normalize({"seed": 2**64})
+    assert main(["calibrate", "--out", str(tmp_path), "--seed", str(2**64)]) == 1
 
 
 def test_load_config_round_trip(tmp_path):

@@ -5,16 +5,11 @@ from cfarmismatch.detect import (
     AMF,
     KELLY,
     DetectorKind,
-    MisPoint,
-    bose_convert,
-    gen_data,
     gen_data_batch,
     kalson,
-    mis_point,
     pairs_from_raw,
     raw_stats,
     raw_stats_batch,
-    stat_value,
     stat_values,
 )
 from cfarmismatch.mismatch import MismatchSpec, gen_sigma_t
@@ -25,8 +20,8 @@ from cfarmismatch.randkit import StreamKey
 def one_draw(sigma, steer):
     """One test vector and training block under a fixed mismatch draw."""
     st, _ = gen_sigma_t(StreamKey(200), sigma, steer, MismatchSpec("inv_wishart", 6.0))
-    x, xt = gen_data(StreamKey(201), sigma, st, 1.5, steer, 32)
-    return st, x, xt
+    x, xt = gen_data_batch(StreamKey(201), sigma, st, 1.5, steer, 32, 1)
+    return st, x[0], xt[0]
 
 
 def test_detector_kind_validation():
@@ -47,35 +42,20 @@ def test_detector_kind_validation():
     (3.0, 1.0, 1.0 / 3.0, 1.0 / 3.0),
 ])
 def test_mis_point_arithmetic(s1, s2, beta, t):
-    p = mis_point(s1, s2)
-    assert abs(p.beta - beta) < 1e-15
-    assert abs(p.t_tilde - t) < 1e-15
-
-
-def test_mis_point_rejects_impossible_stats():
-    with pytest.raises(ValueError):
-        mis_point(1.0, 1.5)
-    with pytest.raises(ValueError):
-        mis_point(1.0, -0.1)
-
-
-def test_mis_point_validation():
-    with pytest.raises(ValueError):
-        MisPoint(beta=0.0, t_tilde=0.1)
-    with pytest.raises(ValueError):
-        MisPoint(beta=0.5, t_tilde=-1.0)
+    b, tt = pairs_from_raw(s1, s2)
+    assert abs(b - beta) < 1e-15
+    assert abs(tt - t) < 1e-15
 
 
 def test_kalson_at_unit_kappa_is_the_glrt_statistic():
     rng = np.random.default_rng(5)
     for _ in range(20):
-        p = mis_point(rng.uniform(0.5, 5.0), rng.uniform(0.0, 0.4))
-        assert stat_value(kalson(1.0), p) == stat_value(KELLY, p)
+        beta, t = pairs_from_raw(rng.uniform(0.5, 5.0), rng.uniform(0.0, 0.4))
+        assert stat_values(kalson(1.0), beta, t) == stat_values(KELLY, beta, t)
 
 
 def test_amf_value():
-    p = MisPoint(beta=0.5, t_tilde=0.2)
-    assert abs(stat_value(AMF, p) - 0.4) < 1e-15
+    assert abs(stat_values(AMF, 0.5, 0.2) - 0.4) < 1e-15
 
 
 def test_kalson_two_route_identity():
@@ -85,9 +65,9 @@ def test_kalson_two_route_identity():
         for _ in range(50):
             s1 = rng.uniform(0.2, 6.0)
             s2 = rng.uniform(0.0, s1)
-            p = mis_point(s1, s2)
+            beta, t = pairs_from_raw(s1, s2)
             direct = s2 / (kappa + s1 - s2)
-            via_pair = stat_value(kind, p)
+            via_pair = stat_values(kind, beta, t)
             assert abs(via_pair - direct) <= 1e-12 * max(direct, 1e-30)
 
 
@@ -98,25 +78,8 @@ def test_stat_values_matches_scalar_route():
     beta, t = pairs_from_raw(s1, s2)
     for kind in (KELLY, AMF, kalson(2.0)):
         vec = stat_values(kind, beta, t)
-        ref = [stat_value(kind, MisPoint(b, tt)) for b, tt in zip(beta, t)]
+        ref = [stat_values(kind, float(b), float(tt)) for b, tt in zip(beta, t)]
         assert np.abs(vec - np.array(ref)).max() < 1e-15
-
-
-def test_bose_convert_values():
-    assert bose_convert(MisPoint(beta=0.7, t_tilde=0.0)) == (0.7, 1.0)
-    assert bose_convert(MisPoint(beta=1.0, t_tilde=1.0)) == (1.0, 0.5)
-
-
-def test_bose_convert_definition_identity():
-    rng = np.random.default_rng(8)
-    for _ in range(50):
-        s1 = rng.uniform(0.2, 6.0)
-        s2 = rng.uniform(0.0, s1)
-        p = mis_point(s1, s2)
-        rho, eta = bose_convert(p)
-        eta_def = (1.0 + s1 - s2) / (1.0 + s1)
-        assert abs(eta - eta_def) < 1e-12
-        assert abs(rho - p.beta) < 1e-15
 
 
 def test_raw_stats_collinear_test_vector(one_draw, steer):
@@ -191,23 +154,16 @@ def test_general_scaling_invariance(one_draw, steer):
 
 
 def test_gen_data_is_stream_deterministic(sigma, steer):
-    a = gen_data(StreamKey(203), sigma, sigma, 0.5, steer, 32)
-    b = gen_data(StreamKey(203), sigma, sigma, 0.5, steer, 32)
+    a = gen_data_batch(StreamKey(203), sigma, sigma, 0.5, steer, 32, 1)
+    b = gen_data_batch(StreamKey(203), sigma, sigma, 0.5, steer, 32, 1)
     assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
-
-
-def test_gen_data_matches_batch_of_one(sigma, steer):
-    x, xt = gen_data(StreamKey(204), sigma, sigma, 0.5, steer, 32)
-    xb, xtb = gen_data_batch(StreamKey(204), sigma, sigma, 0.5, steer, 32, 1)
-    assert np.array_equal(x, xb[0])
-    assert np.array_equal(xt, xtb[0])
 
 
 def test_gen_data_rejects_bad_arguments(sigma, steer):
     with pytest.raises(ValueError):
-        gen_data(StreamKey(1), sigma, sigma, -0.5, steer, 32)
+        gen_data_batch(StreamKey(1), sigma, sigma, -0.5, steer, 32, 1)
     with pytest.raises(ValueError):
-        gen_data(StreamKey(1), sigma, sigma, 0.5, steer, 15)
+        gen_data_batch(StreamKey(1), sigma, sigma, 0.5, steer, 15, 1)
 
 
 def test_gen_data_zero_alpha_zero_mean(sigma, steer):

@@ -8,7 +8,6 @@ from cfarmismatch.matkit import (
     chol_stack,
     heig,
     hermitian_part,
-    hermitian_sqrt,
     ortho_complement,
     solve_hpd,
     solve_lower,
@@ -86,13 +85,6 @@ def test_heig_reconstructs(rand_hpd):
     pair = heig(a)
     back = pair.vectors @ np.diag(pair.values) @ pair.vectors.conj().T
     assert np.abs(back - a).max() < 1e-12
-
-
-def test_hermitian_sqrt_squares_back(rand_hpd):
-    a = rand_hpd(6, seed=14)
-    s = hermitian_sqrt(a)
-    assert np.abs(s @ s.conj().T - a).max() < 1e-12
-    assert np.abs(s - s.conj().T).max() < 1e-12
 
 
 def test_ortho_complement_canonical_axis():

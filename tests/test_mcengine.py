@@ -3,8 +3,9 @@ import re
 import numpy as np
 import pytest
 
-from cfarmismatch.detect import AMF, KELLY, kalson
+from cfarmismatch.detect import AMF, KELLY, kalson, stat_values
 from cfarmismatch.mcengine import (
+    CHUNK_FAST,
     DetectorPlan,
     MisSetup,
     PfaEstimate,
@@ -15,7 +16,6 @@ from cfarmismatch.mcengine import (
     calibrate_threshold,
     count_exceedances,
     ecdf,
-    estimate_prob,
     kelly_threshold,
     ks_2sample,
     ks_stat,
@@ -26,6 +26,7 @@ from cfarmismatch.mcengine import (
 from cfarmismatch.mismatch import MismatchSpec, gen_sigma_t, omega_decompose
 from cfarmismatch.randkit import StreamKey, beta_cdf, wilson_ci
 from cfarmismatch.scenario import ScenarioCfg
+from cfarmismatch.storep import make_sampler, sample_pairs
 
 N, K = 16, 32
 
@@ -50,6 +51,22 @@ def test_kelly_threshold_validation():
 def test_calibrate_threshold_matches_closed_form():
     thr = calibrate_threshold(StreamKey(400), KELLY, N, K, 1e-2, 200_000)
     assert abs(thr - kelly_threshold(1e-2, N, K)) < 0.007
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_calibrate_threshold_tail_quantile_is_exact(workers):
+    # The last chunk holds 300 values, fewer than the ~659 kept per chunk.
+    n_trials, pfa = CHUNK_FAST + 300, 1e-2
+    stream, kind = StreamKey(432), AMF
+    sampler = nomismatch_sampler(N, K)
+    vals = np.concatenate([
+        stat_values(kind, *sample_pairs(stream.child(ci), sampler, size))
+        for ci, size in ((0, CHUNK_FAST), (1, 300))
+    ])
+    k_ord = int(np.ceil((1.0 - pfa) * n_trials)) - 1
+    assert n_trials - k_ord > 300
+    expected = float(np.partition(vals, k_ord)[k_ord])
+    assert calibrate_threshold(stream, kind, N, K, pfa, n_trials, workers=workers) == expected
 
 
 def test_calibrate_threshold_refuses_thin_samples():
@@ -109,16 +126,8 @@ def test_detector_plan_validation():
 
 
 def test_estimate_prob_zero_threshold_is_one(sigma, steer):
-    setup = setup_for(sigma, sigma, steer)
-    for path in ("fast", "direct"):
-        est = estimate_prob(StreamKey(405), KELLY, 0.0, setup, 512, path=path)
-        assert est.p_hat == 1.0
-
-
-def test_estimate_prob_rejects_bad_path(sigma, steer):
-    with pytest.raises(ValueError):
-        estimate_prob(StreamKey(406), KELLY, 0.5, setup_for(sigma, sigma, steer),
-                      100, path="exact")
+    for source in (make_sampler(sigma, sigma, steer, 0.0, K), setup_for(sigma, sigma, steer)):
+        assert count_exceedances(StreamKey(405), KELLY, 0.0, source, 512) == 512
 
 
 def test_estimate_prob_matched_covers_closed_form_target():
@@ -141,10 +150,13 @@ def test_count_exceedances_worker_count_is_immaterial():
 @pytest.mark.parametrize("variant", ["identity", "inv_wishart", "eig_jitter", "ger_chol"])
 def test_fast_and_direct_paths_agree_in_probability(sigma, steer, variant):
     st, _ = gen_sigma_t(StreamKey(409), sigma, steer, MismatchSpec(variant, 6.0))
-    setup = setup_for(sigma, st, steer)
     eta = kelly_threshold(1e-2, N, K)
-    fast = estimate_prob(StreamKey(410), KELLY, eta, setup, 1_000_000, path="fast")
-    direct = estimate_prob(StreamKey(411), KELLY, eta, setup, 100_000, path="direct")
+    fast = PfaEstimate.from_counts(
+        count_exceedances(StreamKey(410), KELLY, eta, make_sampler(sigma, st, steer, 0.0, K),
+                          1_000_000), 1_000_000)
+    direct = PfaEstimate.from_counts(
+        count_exceedances(StreamKey(411), KELLY, eta, setup_for(sigma, st, steer), 100_000),
+        100_000)
     assert fast.ci_lo <= direct.ci_hi and direct.ci_lo <= fast.ci_hi, (
         f"{variant}: fast [{fast.ci_lo:.4e},{fast.ci_hi:.4e}] "
         f"direct [{direct.ci_lo:.4e},{direct.ci_hi:.4e}]"

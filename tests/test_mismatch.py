@@ -184,18 +184,3 @@ def test_omega_ger_chol_schur_is_drawn_scalar(sigma, steer):
     st, meta = draw(StreamKey(117), sigma, steer, "ger_chol")
     om = omega_decompose(sigma, st, steer)
     assert abs(om.schur - meta["psi22"]) < 1e-8 * meta["psi22"]
-
-
-def test_omega_sqrt_method_invariants(sigma, steer):
-    st, _ = draw(StreamKey(118), sigma, steer, "inv_wishart")
-    a = omega_decompose(sigma, st, steer, sqrt_method="chol")
-    b = omega_decompose(sigma, st, steer, sqrt_method="hermitian")
-    assert np.abs(np.sort(a.lam) - np.sort(b.lam)).max() < 1e-8 * a.lam.max()
-    assert abs(np.linalg.norm(a.w) - np.linalg.norm(b.w)) < 1e-8
-    assert abs(a.schur - b.schur) < 1e-10 * a.schur
-    assert abs(a.vt_quad - b.vt_quad) < 1e-10 * a.vt_quad
-
-
-def test_omega_rejects_unknown_sqrt_method(sigma, steer):
-    with pytest.raises(ValueError):
-        omega_decompose(sigma, sigma, steer, sqrt_method="qr")

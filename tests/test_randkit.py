@@ -7,9 +7,6 @@ from cfarmismatch.randkit import (
     StreamKey,
     beta_cdf,
     cf1_survival,
-    sample_cF,
-    sample_cchi2,
-    sample_cnormal,
     sample_cwishart,
     standard_circular,
     wilson_ci,
@@ -52,33 +49,6 @@ def test_standard_circular_unit_power():
     assert 0.98 <= power <= 1.02
 
 
-def test_cnormal_zero_mean_case():
-    z = sample_cnormal(StreamKey(12), np.zeros(4, dtype=complex), np.eye(4, dtype=complex),
-                       size=100_000)
-    assert np.linalg.norm(z.mean(axis=0)) < 0.02
-
-
-def test_cnormal_covariance_matches_factor(rand_hpd):
-    a = rand_hpd(3, seed=3)
-    g = np.linalg.cholesky(a)
-    z = sample_cnormal(StreamKey(13), np.zeros(3, dtype=complex), g, size=100_000)
-    cov = np.einsum("mi,mj->ij", z, z.conj()) / z.shape[0]
-    scale = np.abs(np.diag(a)).max()
-    assert np.abs(cov - a).max() < 0.05 * scale
-
-
-def test_cnormal_applies_mean_offset():
-    mean = np.array([1.0 + 2.0j, -0.5j, 3.0], dtype=complex)
-    z = sample_cnormal(StreamKey(14), mean, np.eye(3, dtype=complex), size=50_000)
-    assert np.linalg.norm(z.mean(axis=0) - mean) < 0.03
-
-
-def test_cnormal_rejects_bad_factor_shape():
-    with pytest.raises(ValueError):
-        sample_cnormal(StreamKey(1), np.zeros(3, dtype=complex),
-                       np.eye(2, dtype=complex), size=4)
-
-
 def test_cwishart_mean_is_dof_times_scale():
     acc = np.zeros((4, 4), dtype=complex)
     root = StreamKey(15)
@@ -106,60 +76,6 @@ def test_cwishart_output_is_hermitian_positive():
 def test_cwishart_rejects_singular_dof():
     with pytest.raises(ValueError):
         sample_cwishart(StreamKey(1), 4, 3, np.eye(4, dtype=complex))
-
-
-def test_cchi2_central_mean():
-    draws = sample_cchi2(StreamKey(18), 17, size=100_000)
-    assert abs(float(draws.mean()) - 17.0) < 0.15
-
-
-def test_cchi2_noncentral_mean_unit_p():
-    draws = sample_cchi2(StreamKey(19), 1, delta=4.0, size=100_000)
-    assert abs(float(draws.mean()) - 5.0) < 0.1
-
-
-def test_cchi2_unit_p_central_is_exponential():
-    draws = sample_cchi2(StreamKey(20), 1, size=100_000)
-    d = sstats.kstest(draws, sstats.expon.cdf).statistic
-    assert d < 0.01
-
-
-def test_cchi2_accepts_array_noncentrality():
-    delta = np.array([0.0, 1.0, 4.0, 9.0])
-    draws = sample_cchi2(StreamKey(21), 2, delta=delta, size=4)
-    assert draws.shape == (4,)
-    assert (draws > 0).all()
-
-
-@pytest.mark.parametrize("p,delta", [(0, 0.0), (-1, 0.0), (2, -0.5)])
-def test_cchi2_rejects_bad_parameters(p, delta):
-    with pytest.raises(ValueError):
-        sample_cchi2(StreamKey(1), p, delta=delta, size=2)
-
-
-def test_cf_survival_matches_closed_form():
-    draws = sample_cF(StreamKey(22), 1, 17, size=1_000_000)
-    for t in (0.2, 0.5, 1.0):
-        target = cf1_survival(t, 17)
-        emp = float(np.mean(draws > t))
-        sigma_mc = np.sqrt(target * (1.0 - target) / draws.size)
-        assert abs(emp - target) < 3.0 * sigma_mc
-
-
-def test_cf_mean_matches_moment_formula():
-    draws = sample_cF(StreamKey(23), 1, 17, size=100_000)
-    assert abs(float(draws.mean()) - 1.0 / 16.0) < 0.003
-
-
-def test_cf_is_right_skewed_at_large_q():
-    draws = sample_cF(StreamKey(24), 1, 64, size=10_000)
-    assert float(np.median(draws)) < float(draws.mean())
-
-
-def test_cf_noncentrality_raises_the_mean():
-    central = sample_cF(StreamKey(25).child(0), 1, 17, size=50_000)
-    shifted = sample_cF(StreamKey(25).child(1), 1, 17, delta=4.0, size=50_000)
-    assert float(shifted.mean()) > float(central.mean()) + 0.1
 
 
 def test_cf1_survival_values():

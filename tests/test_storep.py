@@ -14,8 +14,6 @@ from cfarmismatch.randkit import StreamKey, beta_cdf, cf1_survival
 from cfarmismatch.storep import (
     RepSampler,
     make_sampler,
-    sample_pair,
-    sample_pair_ger,
     sample_pairs,
     sample_pairs_ger,
 )
@@ -74,13 +72,6 @@ def test_sample_pairs_is_stream_deterministic():
     b1, t1 = sample_pairs(StreamKey(302), s, 64)
     b2, t2 = sample_pairs(StreamKey(302), s, 64)
     assert np.array_equal(b1, b2) and np.array_equal(t1, t2)
-
-
-def test_sample_pair_matches_vector_head():
-    s = matched_sampler()
-    p = sample_pair(StreamKey(303), s)
-    beta, t = sample_pairs(StreamKey(303), s, 1)
-    assert p.beta == beta[0] and p.t_tilde == t[0]
 
 
 def test_sample_pairs_rejects_empty():
@@ -217,15 +208,3 @@ def test_mismatch_shifts_beta_down(sigma, steer):
         if float(np.median(beta)) < matched_median:
             below += 1
     assert below >= 8
-
-
-def test_sqrt_method_choice_is_distribution_neutral(sigma, steer):
-    st, _ = gen_sigma_t(StreamKey(322), sigma, steer, MismatchSpec("inv_wishart", 6.0))
-    sa = make_sampler(sigma, st, steer, 1.0, K, sqrt_method="chol")
-    sb = make_sampler(sigma, st, steer, 1.0, K, sqrt_method="hermitian")
-    beta_a, t_a = sample_pairs(StreamKey(323), sa, 100_000)
-    beta_b, t_b = sample_pairs(StreamKey(324), sb, 100_000)
-    from scipy import stats as sstats
-
-    assert float(sstats.ks_2samp(beta_a, beta_b).statistic) < KS_LIMIT
-    assert float(sstats.ks_2samp(t_a, t_b).statistic) < KS_LIMIT
