@@ -212,6 +212,11 @@ def _chunks(n_total: int, chunk: int):
 # when a run ends.
 _pool = None
 
+# Tasks per worker below which every task goes to the pool on its own.
+# Above it, tasks travel in batches that keep at least this many batches per
+# worker for load balance, and the parent pays far fewer round trips.
+_TASKS_PER_WORKER = 16
+
 
 def _map_chunks(fn, args_list, workers: int):
     global _pool
@@ -220,7 +225,8 @@ def _map_chunks(fn, args_list, workers: int):
     if _pool is None or _pool[0] != workers or _pool[1]._broken:
         shutdown_pool()
         _pool = (workers, ProcessPoolExecutor(max_workers=workers))
-    return list(_pool[1].map(fn, args_list))
+    chunksize = max(1, len(args_list) // (_TASKS_PER_WORKER * workers))
+    return list(_pool[1].map(fn, args_list, chunksize=chunksize))
 
 
 def shutdown_pool() -> None:

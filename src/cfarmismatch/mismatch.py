@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import linalg
 
 from .matkit import (
     chol,
@@ -196,7 +197,8 @@ def omega_decompose(sigma: np.ndarray, sigma_t: np.ndarray, v: np.ndarray) -> Om
     lam = heig(omega11).values
     if np.any(lam <= 0):
         raise RuntimeError("leading block lost positive definiteness")
-    w = solve_hpd(omega11, omega12).conj()  # row convention: scalar = w @ x1
+    f = chol(omega11)
+    w = linalg.cho_solve((f, True), omega12).conj()  # row convention: scalar = w @ x1
     schur = float((omega[n - 1, n - 1] - w @ omega12).real)
 
     ratio = vt_quad / float(np.vdot(v, solve_hpd(sigma, v)).real)
@@ -206,7 +208,7 @@ def omega_decompose(sigma: np.ndarray, sigma_t: np.ndarray, v: np.ndarray) -> Om
         )
     return OmegaSummary(
         lam=lam,
-        omega11_factor=chol(omega11),
+        omega11_factor=f,
         w=w,
         schur=schur,
         vt_quad=vt_quad,

@@ -3,7 +3,9 @@
 Conventions (fixed once, everything downstream assumes them):
 
 * standard circular complex scalar u: real and imaginary parts are
-  independent N(0, 1/2), so E|u|^2 = 1;
+  independent N(0, 1/2), so E|u|^2 = 1. Each u is one consecutive
+  (re, im) pair of standard normals scaled by 1/sqrt(2); that layout is
+  part of the stream contract, since every complex draw depends on it;
 * Cchi2(p, 0) is Gamma(shape=p, scale=1), no factor 2;
 * the noncentral Cchi2 is sampled by the shifted-Gaussian construction
   |CN(sqrt(delta), 1)|^2 + Gamma(p-1, 1), exact and branch-free.
@@ -15,6 +17,7 @@ statistically independent regardless of worker count or draw order.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import struct
 from dataclasses import dataclass, field
@@ -70,9 +73,16 @@ def _generator(stream) -> np.random.Generator:
 
 
 def standard_circular(rng: np.random.Generator, shape) -> np.ndarray:
-    """I.i.d. standard circular complex entries, E|u|^2 = 1 per entry."""
+    """I.i.d. standard circular complex entries, E|u|^2 = 1 per entry.
+
+    The normals are scaled in place and reinterpreted as complex, with no
+    temporaries. Scaling by the reciprocal of sqrt(2) gives the same bits as
+    numpy's complex division ``(re + 1j * im) / sqrt(2)``, except that a draw
+    of exactly -0.0 (probability 2**-53 per normal) keeps its sign.
+    """
     z = rng.standard_normal(tuple(np.atleast_1d(shape)) + (2,))
-    return (z[..., 0] + 1j * z[..., 1]) / np.sqrt(2.0)
+    z *= 1.0 / np.sqrt(2.0)
+    return z.view(np.complex128)[..., 0]
 
 
 def sample_cwishart(stream, n: int, dof: int, scale_factor: np.ndarray) -> np.ndarray:
@@ -119,13 +129,20 @@ def beta_cdf(a: float, b: float, x):
     return float(out) if out.ndim == 0 else out
 
 
+@functools.lru_cache(maxsize=8)
+def _two_sided_quantile(level: float) -> float:
+    """Standard normal quantile at 0.5 + level / 2; a sweep asks for one
+    level on every row, so each process computes it once."""
+    return stats.norm.ppf(0.5 + level / 2.0)
+
+
 def wilson_ci(k: int, n: int, level: float = 0.95) -> tuple[float, float]:
     """Wilson score interval for k successes in n Bernoulli trials."""
     if not 0 <= k <= n:
         raise ValueError(f"need 0 <= k <= n, got k={k}, n={n}")
     if not 0 < level < 1:
         raise ValueError(f"confidence level must be in (0, 1), got {level}")
-    z = stats.norm.ppf(0.5 + level / 2.0)
+    z = _two_sided_quantile(level)
     p = k / n
     denom = 1.0 + z * z / n
     center = (p + z * z / (2 * n)) / denom

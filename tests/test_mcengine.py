@@ -2,6 +2,7 @@ import re
 
 import numpy as np
 import pytest
+from scipy import stats as sstats
 
 from cfarmismatch.detect import AMF, KELLY, kalson, stat_values
 from cfarmismatch.mcengine import (
@@ -15,6 +16,7 @@ from cfarmismatch.mcengine import (
     calibrate_snr,
     calibrate_threshold,
     count_exceedances,
+    draw_pairs,
     ecdf,
     kelly_threshold,
     ks_2sample,
@@ -25,7 +27,7 @@ from cfarmismatch.mcengine import (
 )
 from cfarmismatch.mismatch import MismatchSpec, gen_sigma_t, omega_decompose
 from cfarmismatch.randkit import StreamKey, beta_cdf, wilson_ci
-from cfarmismatch.scenario import ScenarioCfg
+from cfarmismatch.scenario import ScenarioCfg, build_cov, build_steering
 from cfarmismatch.storep import make_sampler, sample_pairs
 
 N, K = 16, 32
@@ -278,6 +280,24 @@ def test_sweep_is_worker_count_invariant(scn):
     assert a == b
 
 
+@pytest.mark.parametrize("nu", [None, 16])
+def test_batched_sweep_is_worker_count_invariant(scn, nu):
+    # 100 draws go to the pool in batches: 3 draws per task at 2 workers and
+    # 2 at 3 workers. nu = N makes every draw fail.
+    plans = (DetectorPlan(label="kelly", threshold=0.31, kind=KELLY),
+             DetectorPlan(label="c1", threshold=0.31, clairvoyant_c=1.0))
+    spec = MismatchSpec("inv_wishart", 6.0, nu=nu)
+    runs = [sweep(StreamKey(431), scn, spec, plans, n_draws=100, n_trials=1024, workers=w)
+            for w in (1, 2, 3)]
+    if nu is None:
+        assert not runs[0].errors and len(runs[0].rows) == 200
+    else:
+        assert runs[0].rows == ()
+        assert [d for d, _ in runs[0].errors] == list(range(100))
+    assert runs[1] == runs[0]
+    assert runs[2] == runs[0]
+
+
 def test_sweep_direct_path_matches_fast_in_probability(scn):
     eta = kelly_threshold(5e-2, N, K)
     plans = (DetectorPlan(label="kelly", threshold=eta, kind=KELLY),)
@@ -363,3 +383,25 @@ def test_meta_digest_formats_scalars_and_hashes_vectors():
     assert parts[2] == "omega_schur=0.875"
     again = meta_digest({"l1": np.array([1.0, 2.0]), "gamma": 1.25}, 0.875)
     assert digest == again
+
+
+@pytest.mark.parametrize("path", ["fast", "direct"])
+@pytest.mark.parametrize("n,k", [(2, 2), (2, 5), (16, 16)])
+def test_matched_laws_at_edge_dimensions(n, k, path):
+    # N = 2 leaves one column in u; K = N gives L = 1. Both paths must keep
+    # beta ~ Beta(L+1, N-1) and P(t > x) = (1+x)^-L; the bound is the
+    # Kolmogorov critical value at level 1e-6.
+    big_l = k - n + 1
+    stream = StreamKey(432).child(n, k)
+    if path == "fast":
+        m = 20_000
+        source = nomismatch_sampler(n, k)
+    else:
+        m = 2048
+        cfg = ScenarioCfg(n=n, k=k)
+        sig = build_cov(cfg)
+        source = MisSetup(sigma=sig, sigma_t=sig, v=build_steering(n, cfg.fd), alpha_abs=0.0, k=k)
+    beta, t = draw_pairs(stream, source, m)
+    limit = float(sstats.kstwo.isf(1e-6, m))
+    assert ks_stat(beta, lambda x: beta_cdf(big_l + 1, n - 1, x)) < limit
+    assert ks_stat(t, lambda x: 1.0 - (1.0 + np.maximum(x, 0.0)) ** -big_l) < limit

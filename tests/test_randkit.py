@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 from scipy import stats as sstats
 
+from cfarmismatch import randkit
+from cfarmismatch.mcengine import PfaEstimate
 from cfarmismatch.randkit import (
     GENERATOR_ID,
     StreamKey,
@@ -47,6 +49,22 @@ def test_standard_circular_unit_power():
     u = standard_circular(StreamKey(11).generator(), (100_000,))
     power = float(np.mean(np.abs(u) ** 2))
     assert 0.98 <= power <= 1.02
+
+
+@pytest.mark.parametrize("shape", [5, (7,), (64, 1), (2048, 15), (3, 4, 5)])
+def test_standard_circular_keeps_its_bits(shape):
+    # Every complex draw in the package goes through this layout: consecutive
+    # (re, im) normal pairs divided by sqrt(2). Any other order or rounding
+    # changes every stream.
+    key = StreamKey(12).child(3)
+    u = standard_circular(key.generator(), shape)
+    full = tuple(np.atleast_1d(shape))
+    z = key.generator().standard_normal(full + (2,))
+    ref = (z[..., 0] + 1j * z[..., 1]) / np.sqrt(2.0)
+    assert u.dtype == np.complex128
+    assert u.shape == full
+    assert u.flags.c_contiguous
+    assert np.array_equal(u.view(np.float64), ref.view(np.float64))
 
 
 def test_cwishart_mean_is_dof_times_scale():
@@ -109,3 +127,37 @@ def test_wilson_ci_matches_reference_implementation(k, n):
     assert abs(lo - ref.low) < 1e-12
     assert abs(hi - ref.high) < 1e-12
     assert lo <= k / n <= hi
+
+
+@pytest.mark.parametrize("level", [0.9, 0.95, 0.99])
+@pytest.mark.parametrize("k,n", [(0, 50), (3, 1000), (250, 500), (2048, 2048)])
+def test_wilson_ci_equals_the_uncached_formula(k, n, level):
+    z = sstats.norm.ppf(0.5 + level / 2.0)
+    p = k / n
+    denom = 1.0 + z * z / n
+    center = (p + z * z / (2 * n)) / denom
+    half = (z / denom) * np.sqrt(p * (1 - p) / n + z * z / (4 * n * n))
+    lo = 0.0 if k == 0 else max(0.0, float(center - half))
+    hi = 1.0 if k == n else min(1.0, float(center + half))
+    assert wilson_ci(k, n, level) == (lo, hi)
+
+
+@pytest.mark.parametrize("level", [0.0, 1.0, 1.5])
+def test_wilson_ci_rejects_bad_levels(level):
+    with pytest.raises(ValueError):
+        wilson_ci(5, 100, level)
+
+
+def test_wilson_quantile_is_computed_once_per_level(monkeypatch):
+    calls = []
+    ppf = randkit.stats.norm.ppf
+
+    def counted(q):
+        calls.append(q)
+        return ppf(q)
+
+    monkeypatch.setattr(randkit.stats.norm, "ppf", counted)
+    level = 0.8123  # no other test uses it, so no earlier call has filled the cache
+    for i in range(1000):
+        PfaEstimate.from_counts(i % 97, 1000, level=level)
+    assert len(calls) <= 1
