@@ -51,10 +51,9 @@ EXIT_CONFIG = 1
 EXIT_VALIDATION = 2
 EXIT_NUMERIC = 3
 
-# Top-level stream labels, one per experiment family under a seed.
+# Top-level stream labels, one per experiment family under a seed (2 is retired).
 _EXP_CAL = 0
 _EXP_SWEEP = 1
-_EXP_SNR = 2
 _EXP_CDF = 3
 _EXP_VALIDATE = 4
 
@@ -331,15 +330,11 @@ def cmd_sweep(cfg: RunConfig, workers: int, path: str, out: Path) -> int:
 
 def cmd_roc(cfg: RunConfig, workers: int, path: str, out: Path) -> int:
     sc = cfg.scenario
-    sigma = build_cov(sc)
-    v = build_steering(sc.n, fd=sc.fd)
     table = _calibrate_table(cfg, workers)
-    snr_root = StreamKey(cfg.seed).child(_EXP_SNR)
     plans = []
     snr_report = {}
-    for i, e in enumerate(table.entries):
-        snr = calibrate_snr(snr_root.child(i), e.kind, e.threshold, sigma, v,
-                            cfg.pd_target, cfg.trials.pd, sc.k, workers)
+    for e in table.entries:
+        snr = calibrate_snr(e.kind, e.threshold, sc.n, sc.k, cfg.pd_target)
         snr_report[det_label(e.kind)] = {"snr_linear": snr, "snr_db": 10.0 * float(np.log10(snr))}
         plans.append(DetectorPlan(label=det_label(e.kind), threshold=e.threshold,
                                   kind=e.kind, snr_linear=snr))

@@ -1,7 +1,7 @@
 """Fast sampler of (beta, t_tilde) from their exact stochastic representation.
 
 One draw costs O(N) scalars instead of an N x K data matrix plus a Cholesky
-factorization, which is what makes 1e7-trial threshold calibration cheap.
+factorization, which is what makes sweeps of 1e6 trials per draw cheap.
 The reduction conditions on the whitened leading coordinates and replaces
 the inner Wishart quadratic form by a single chi-square ratio; that step is
 exact, not an approximation, so the output distribution must match the

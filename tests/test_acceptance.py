@@ -57,7 +57,7 @@ def _line(num: int, passed: bool, detail: str) -> None:
 
 @pytest.fixture(scope="module")
 def amf_eta():
-    return calibrate_threshold(StreamKey(3301), AMF, N, K, 1e-3, 10_000_000, workers=3)
+    return calibrate_threshold(AMF, N, K, 1e-3)
 
 
 def _sweep_plans(amf_eta):
@@ -101,7 +101,7 @@ def test_criterion_02_matched_invariant_pair_laws():
 
 
 def test_criterion_03_two_route_equivalence(scn, sigma, steer):
-    snr = calibrate_snr(StreamKey(3103), KELLY, ETA3, sigma, steer, 0.5, 200_000, K)
+    snr = calibrate_snr(KELLY, ETA3, N, K, 0.5)
     alpha_cal = snr_to_alpha(snr, sigma, steer)
     m = 200_000
     chunk = 2048

@@ -2,11 +2,12 @@ import re
 
 import numpy as np
 import pytest
+from scipy import integrate
 from scipy import stats as sstats
 
-from cfarmismatch.detect import AMF, KELLY, kalson, stat_values
+from cfarmismatch import mcengine
+from cfarmismatch.detect import AMF, KELLY, kalson
 from cfarmismatch.mcengine import (
-    CHUNK_FAST,
     DetectorPlan,
     MisSetup,
     PfaEstimate,
@@ -21,6 +22,7 @@ from cfarmismatch.mcengine import (
     kelly_threshold,
     ks_2sample,
     ks_stat,
+    matched_exceedance,
     meta_digest,
     nomismatch_sampler,
     sweep,
@@ -28,7 +30,7 @@ from cfarmismatch.mcengine import (
 from cfarmismatch.mismatch import MismatchSpec, gen_sigma_t, omega_decompose
 from cfarmismatch.randkit import StreamKey, beta_cdf, wilson_ci
 from cfarmismatch.scenario import ScenarioCfg, build_cov, build_steering
-from cfarmismatch.storep import make_sampler, sample_pairs
+from cfarmismatch.storep import make_sampler
 
 N, K = 16, 32
 
@@ -51,35 +53,96 @@ def test_kelly_threshold_validation():
 
 
 def test_calibrate_threshold_matches_closed_form():
-    thr = calibrate_threshold(StreamKey(400), KELLY, N, K, 1e-2, 200_000)
-    assert abs(thr - kelly_threshold(1e-2, N, K)) < 0.007
-
-
-@pytest.mark.parametrize("workers", [1, 2])
-def test_calibrate_threshold_tail_quantile_is_exact(workers):
-    # The last chunk holds 300 values, fewer than the ~659 kept per chunk.
-    n_trials, pfa = CHUNK_FAST + 300, 1e-2
-    stream, kind = StreamKey(432), AMF
-    sampler = nomismatch_sampler(N, K)
-    vals = np.concatenate([
-        stat_values(kind, *sample_pairs(stream.child(ci), sampler, size))
-        for ci, size in ((0, CHUNK_FAST), (1, 300))
-    ])
-    k_ord = int(np.ceil((1.0 - pfa) * n_trials)) - 1
-    assert n_trials - k_ord > 300
-    expected = float(np.partition(vals, k_ord)[k_ord])
-    assert calibrate_threshold(stream, kind, N, K, pfa, n_trials, workers=workers) == expected
+    thr = calibrate_threshold(KELLY, N, K, 1e-2)
+    assert thr == kelly_threshold(1e-2, N, K)
 
 
 def test_calibrate_threshold_refuses_thin_samples():
     with pytest.raises(ValueError, match="100000"):
-        calibrate_threshold(StreamKey(401), KELLY, N, K, 1e-3, 5_000)
+        calibrate_entry(StreamKey(401), KELLY, N, K, 1e-3, 5_000)
 
 
 def test_calibrate_unit_kappa_equals_glrt():
-    a = calibrate_threshold(StreamKey(402), KELLY, N, K, 1e-2, 100_000)
-    b = calibrate_threshold(StreamKey(402), kalson(1.0), N, K, 1e-2, 100_000)
+    a = calibrate_threshold(KELLY, N, K, 1e-2)
+    b = calibrate_threshold(kalson(1.0), N, K, 1e-2)
     assert a == b
+
+
+def _beta_quad(f, n, k):
+    """E[f(beta)], beta ~ Beta(K-N+2, N-1), by adaptive quadrature."""
+    law = sstats.beta(k - n + 2, n - 1)
+    val, _ = integrate.quad(lambda b: f(b) * law.pdf(b), 0.0, 1.0, epsabs=0.0, epsrel=1e-12,
+                            limit=200)
+    return val
+
+
+@pytest.mark.parametrize("pfa", [1e-2, 1e-3, 1e-6])
+@pytest.mark.parametrize("kind,scale", [
+    (AMF, lambda b: b),
+    (kalson(0.5), lambda b: 1.0 + b * (0.5 - 1.0)),
+    (kalson(2.0), lambda b: 1.0 + b * (2.0 - 1.0)),
+])
+@pytest.mark.parametrize("n,k", [(2, 2), (2, 5), (16, 16), (16, 32), (64, 128)])
+def test_calibrated_threshold_meets_pfa_by_quadrature(n, k, kind, scale, pfa):
+    # Independent reference: P(t_tilde > eta * scale(beta)) = (1 + eta scale)^-L
+    # averaged over the Beta law by scipy's adaptive quadrature.
+    eta = calibrate_threshold(kind, n, k, pfa)
+    implied = _beta_quad(lambda b: (1.0 + eta * scale(b)) ** -(k - n + 1), n, k)
+    assert implied == pytest.approx(pfa, rel=1e-9)
+
+
+def test_calibrated_thresholds_match_reference_values():
+    assert abs(calibrate_threshold(AMF, N, K, 1e-3) - 1.001136) < 1e-6
+    assert abs(calibrate_threshold(kalson(2.0), N, K, 1e-3) - 0.327432) < 1e-6
+
+
+@pytest.mark.parametrize("kind", [KELLY, AMF, kalson(0.5), kalson(2.0)])
+@pytest.mark.parametrize("n,k", [(2, 2), (16, 32), (64, 128)])
+def test_detection_at_zero_snr_is_false_alarm(n, k, kind):
+    eta = calibrate_threshold(kind, n, k, 1e-3)
+    pfa = matched_exceedance(kind, eta, n, k)
+    assert pfa == pytest.approx(1e-3, rel=1e-12)
+    # A vanishing SNR runs the full Kelly sum; every j >= 1 term must vanish.
+    assert pfa <= matched_exceedance(kind, eta, n, k, 1e-12) <= pfa * (1.0 + 1e-9)
+
+
+@pytest.mark.parametrize("i,snr", [(0, 4.0), (1, 12.0)])
+def test_detection_matches_monte_carlo(i, snr):
+    eta = calibrate_threshold(AMF, N, K, 1e-2)
+    count = count_exceedances(StreamKey(433).child(i), AMF, eta,
+                              nomismatch_sampler(N, K, gamma_t=snr), 400_000)
+    est = PfaEstimate.from_counts(count, 400_000)
+    assert est.ci_lo <= matched_exceedance(AMF, eta, N, K, snr) <= est.ci_hi
+
+
+def test_calibration_draws_no_trials(monkeypatch):
+    def no_trials(*args):
+        raise AssertionError("calibration drew trials")
+
+    monkeypatch.setattr(mcengine, "draw_pairs", no_trials)
+    for kind in (KELLY, AMF, kalson(2.0)):
+        eta = calibrate_threshold(kind, N, K, 1e-3)
+        assert calibrate_snr(kind, eta, N, K, 0.7) > 0
+
+
+@pytest.mark.parametrize("pd", [0.01, 0.5, 0.999])
+@pytest.mark.parametrize("kind", [KELLY, AMF, kalson(2.0)])
+def test_calibrate_snr_meets_target_exactly(kind, pd):
+    eta = calibrate_threshold(kind, N, K, 1e-3)
+    snr = calibrate_snr(kind, eta, N, K, pd)
+    assert abs(matched_exceedance(kind, eta, N, K, snr) - pd) < 1e-9
+
+
+def test_calibrate_snr_rejects_target_below_false_alarm():
+    with pytest.raises(ValueError, match="not above the false-alarm"):
+        calibrate_snr(AMF, calibrate_threshold(AMF, N, K, 1e-2), N, K, 5e-3)
+
+
+def test_calibrate_entry_rejects_a_wrong_threshold(monkeypatch):
+    exact = mcengine.calibrate_threshold
+    monkeypatch.setattr(mcengine, "calibrate_threshold", lambda *args: 1.2 * exact(*args))
+    with pytest.raises(RuntimeError, match="5 sigma"):
+        calibrate_entry(StreamKey(434), AMF, N, K, 1e-2, 100_000)
 
 
 def test_calibrate_entry_achieved_covers_target():
@@ -165,14 +228,14 @@ def test_fast_and_direct_paths_agree_in_probability(sigma, steer, variant):
     )
 
 
-def test_calibrate_snr_validation(sigma, steer):
+def test_calibrate_snr_validation():
     with pytest.raises(ValueError):
-        calibrate_snr(StreamKey(412), KELLY, 0.5, sigma, steer, 1.5, 10_000, K)
+        calibrate_snr(KELLY, 0.5, N, K, 1.5)
 
 
-def test_calibrate_snr_hits_detection_target(sigma, steer):
+def test_calibrate_snr_hits_detection_target():
     eta = kelly_threshold(1e-4, N, K)
-    snr = calibrate_snr(StreamKey(413), KELLY, eta, sigma, steer, 0.7, 400_000, K)
+    snr = calibrate_snr(KELLY, eta, N, K, 0.7)
     assert snr > 0
     count = count_exceedances(StreamKey(414), KELLY, eta,
                               nomismatch_sampler(N, K, gamma_t=snr), 20_000)
@@ -202,8 +265,7 @@ def test_doubling_snr_raises_detection():
 def test_sweep_identity_covers_targets(scn):
     plans = (
         DetectorPlan(label="kelly", threshold=kelly_threshold(1e-2, N, K), kind=KELLY),
-        DetectorPlan(label="amf", threshold=calibrate_threshold(StreamKey(417), AMF, N, K,
-                                                                1e-2, 200_000), kind=AMF),
+        DetectorPlan(label="amf", threshold=calibrate_threshold(AMF, N, K, 1e-2), kind=AMF),
     )
     res = sweep(StreamKey(418), scn, MismatchSpec("identity"), plans,
                 n_draws=5, n_trials=200_000)
@@ -245,8 +307,7 @@ def test_sweep_clairvoyant_kappa_tracks_schur(scn, sigma, steer):
 def test_sweep_wishart_inflates_false_alarms_amf_most(scn):
     plans = (
         DetectorPlan(label="kelly", threshold=kelly_threshold(1e-2, N, K), kind=KELLY),
-        DetectorPlan(label="amf", threshold=calibrate_threshold(StreamKey(421), AMF, N, K,
-                                                                1e-2, 200_000), kind=AMF),
+        DetectorPlan(label="amf", threshold=calibrate_threshold(AMF, N, K, 1e-2), kind=AMF),
     )
     res = sweep(StreamKey(422), scn, MismatchSpec("inv_wishart", 6.0), plans,
                 n_draws=15, n_trials=200_000)
@@ -321,18 +382,28 @@ def test_sweep_records_per_draw_failures(scn):
 
 def test_sweep_with_pd_requires_snr(scn):
     plans = (DetectorPlan(label="kelly", threshold=0.31, kind=KELLY),)
-    res = sweep(StreamKey(427), scn, MismatchSpec("identity"), plans,
-                n_draws=1, n_trials=1_000, with_pd=True, pd_trials=1_000)
-    assert res.rows == ()
-    assert len(res.errors) == 1
+    with pytest.raises(ValueError, match="no calibrated SNR"):
+        sweep(StreamKey(427), scn, MismatchSpec("identity"), plans,
+              n_draws=1, n_trials=1_000, with_pd=True, pd_trials=1_000)
 
 
-def test_detection_is_steadier_than_false_alarm_rate(scn, sigma, steer):
+def test_sweep_propagates_programming_errors(scn, monkeypatch):
+    def broken(*args):
+        raise TypeError("broken digest")
+
+    monkeypatch.setattr(mcengine, "meta_digest", broken)
+    plans = (DetectorPlan(label="kelly", threshold=0.31, kind=KELLY),)
+    with pytest.raises(TypeError, match="broken digest"):
+        sweep(StreamKey(435), scn, MismatchSpec("identity"), plans,
+              n_draws=2, n_trials=1_000, workers=1)
+
+
+def test_detection_is_steadier_than_false_alarm_rate(scn):
     # Operating point: matched false-alarm rate 1e-4, matched detection 0.7.
     # The gain-ratio-aware statistic resolves to the GLRT under no mismatch,
     # so the closed-form threshold and the matched SNR calibration apply.
     eta = kelly_threshold(1e-4, N, K)
-    snr = calibrate_snr(StreamKey(428), KELLY, eta, sigma, steer, 0.7, 200_000, K)
+    snr = calibrate_snr(KELLY, eta, N, K, 0.7)
     plans = (DetectorPlan(label="c1", threshold=eta, clairvoyant_c=1.0, snr_linear=snr),)
     res = sweep(StreamKey(429), scn, MismatchSpec("inv_wishart", 3.0), plans,
                 n_draws=30, n_trials=400_000, with_pd=True, pd_trials=50_000)
