@@ -30,6 +30,9 @@ _PURPOSE_SIGMA_T = 0
 _PURPOSE_H0 = 1
 _PURPOSE_H1 = 2
 
+# Terms of Kelly's sum over j evaluated at once in matched_exceedance.
+_J_BLOCK = 256
+
 
 @dataclass(frozen=True)
 class PfaEstimate:
@@ -183,7 +186,6 @@ def nomismatch_sampler(n: int, k: int, gamma_t: float = 0.0) -> RepSampler:
     return RepSampler(
         n=n,
         k=k,
-        lam=np.ones(n - 1),
         l11=np.eye(n - 1, dtype=np.complex128),
         w=np.zeros(n - 1, dtype=np.complex128),
         r=1.0,
@@ -303,16 +305,23 @@ def matched_exceedance(kind: DetectorKind, threshold: float, n: int, k: int,
     is sum_j Binom(j; L, y/(1+y)) P(j, beta snr / (1+y)), P the regularized
     lower incomplete gamma and P(0, .) = 1. At snr = 0 only (1+y)^-L is left;
     its mean over beta is the AMF law of Robey et al. (IEEE TAES 1992).
+    The sum over j runs in blocks of ``_J_BLOCK`` terms, so memory stays
+    bounded in L.
     """
     big_l = k - n + 1
     beta, w = _beta_rule(n, k)
     y = threshold / stat_values(kind, beta, np.ones_like(beta))
-    j = np.arange(big_l + 1) if snr > 0 else np.zeros(1)
-    log_pmf = (special.gammaln(big_l + 1) - special.gammaln(j + 1) - special.gammaln(big_l + 1 - j)
-               + special.xlogy(j, y[:, None]) - big_l * np.log1p(y)[:, None])
     x = (beta * snr / (1.0 + y))[:, None]
-    lower = np.where(j == 0, 1.0, special.gammainc(np.maximum(j, 1), x))
-    return float(w @ np.sum(np.exp(log_pmf) * lower, axis=1))
+    j_end = big_l + 1 if snr > 0 else 1
+    total = np.zeros_like(beta)
+    for j0 in range(0, j_end, _J_BLOCK):
+        j = np.arange(j0, min(j0 + _J_BLOCK, j_end))
+        log_pmf = (special.gammaln(big_l + 1) - special.gammaln(j + 1)
+                   - special.gammaln(big_l + 1 - j)
+                   + special.xlogy(j, y[:, None]) - big_l * np.log1p(y)[:, None])
+        lower = np.where(j == 0, 1.0, special.gammainc(np.maximum(j, 1), x))
+        total += np.sum(np.exp(log_pmf) * lower, axis=1)
+    return float(w @ total)
 
 
 def _increasing_root(g, start: float) -> float:
@@ -407,8 +416,7 @@ def _sweep_draw(args):
         n, k = scenario.n, scenario.k
         sigma_t, meta = gen_sigma_t(draw_stream.child(_PURPOSE_SIGMA_T), sigma, v, mspec)
         om = omega_decompose(sigma, sigma_t, v)
-        base = RepSampler(n=n, k=k, lam=om.lam, l11=om.omega11_factor, w=om.w,
-                          r=om.schur, gamma_t=0.0)
+        base = RepSampler(n=n, k=k, l11=om.omega11_factor, w=om.w, r=om.schur, gamma_t=0.0)
         digest = meta_digest(meta, om.schur)
 
         def source(alpha_abs):

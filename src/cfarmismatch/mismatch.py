@@ -4,8 +4,8 @@ Five ways of generating a training covariance from the test-cell covariance:
 exact match, an inverse-Wishart perturbation, eigenvalue jitter, and one
 variant of each that enforces the eigenrelation inv(St) v = lam * inv(S) v
 (so the whitened cross block vanishes). ``omega_decompose`` extracts the
-geometry (eigenvalues, cross row, Schur complement) that drives the fast
-pair sampler.
+geometry (leading-block factor, cross row, Schur complement) that drives the
+fast pair sampler.
 """
 
 from __future__ import annotations
@@ -71,14 +71,13 @@ class GerReport:
 class OmegaSummary:
     """Whitened-and-rotated geometry of a (sigma, sigma_t) pair.
 
-    ``lam`` are the descending eigenvalues of the leading (N-1) block,
-    ``w`` the row mapping the leading whitened coordinates into the test
-    coordinate (scalar contribution = w @ x1, plain dot), and ``schur`` the
+    ``omega11_factor`` is the lower Cholesky factor of the leading (N-1)
+    block, ``w`` the row mapping the leading whitened coordinates into the
+    test coordinate (scalar contribution = w @ x1, plain dot), ``schur`` the
     Schur complement of that block, checked against its independent form
-    v^H inv(St) v / v^H inv(S) v.
+    v^H inv(St) v / v^H inv(S) v, and ``vt_quad`` = v^H inv(St) v.
     """
 
-    lam: np.ndarray
     omega11_factor: np.ndarray
     w: np.ndarray
     schur: float
@@ -171,20 +170,18 @@ def check_ger(sigma: np.ndarray, sigma_t: np.ndarray, v: np.ndarray, tol: float 
 
 
 def omega_decompose(sigma: np.ndarray, sigma_t: np.ndarray, v: np.ndarray) -> OmegaSummary:
-    """Whiten by the training covariance, rotate v onto the last axis, partition."""
+    """Whiten by the training covariance, rotate the whitened v onto the last axis, partition."""
     sigma = check_hermitian(sigma, what="sigma")
     sigma_t = check_hermitian(sigma_t, what="sigma_t")
     n = sigma.shape[0]
 
-    vperp = ortho_complement(v / np.linalg.norm(v))
     gt = chol(sigma_t)
-    ft = chol(hermitian_part(vperp.conj().T @ sigma_t @ vperp))
-    # Unitary Q = [Gt^H Vperp Ft^-H, Gt^-1 v / ||Gt^-1 v||]: sends the
-    # whitened steering vector onto the last canonical axis.
-    left = _right_div_conj(gt.conj().T @ vperp, ft)
     y = np.linalg.solve(gt, v)
     vt_quad = float(np.vdot(y, y).real)
-    q = np.hstack([left, (y / np.sqrt(vt_quad))[:, None]])
+    u = y / np.sqrt(vt_quad)
+    # Unitary Q = [Householder complement of u, u]: sends the whitened
+    # steering vector onto the last canonical axis.
+    q = np.hstack([ortho_complement(u), u[:, None]])
     gram_err = np.linalg.norm(q.conj().T @ q - np.eye(n))
     if gram_err > 1e-8:
         raise RuntimeError(f"rotation lost unitarity (residual {gram_err:.3e}); construction bug")
@@ -194,9 +191,6 @@ def omega_decompose(sigma: np.ndarray, sigma_t: np.ndarray, v: np.ndarray) -> Om
 
     omega11 = omega[: n - 1, : n - 1]
     omega12 = omega[: n - 1, n - 1]
-    lam = heig(omega11).values
-    if np.any(lam <= 0):
-        raise RuntimeError("leading block lost positive definiteness")
     f = chol(omega11)
     w = linalg.cho_solve((f, True), omega12).conj()  # row convention: scalar = w @ x1
     schur = float((omega[n - 1, n - 1] - w @ omega12).real)
@@ -207,7 +201,6 @@ def omega_decompose(sigma: np.ndarray, sigma_t: np.ndarray, v: np.ndarray) -> Om
             f"Schur complement {schur!r} disagrees with quadratic-form ratio {ratio!r}"
         )
     return OmegaSummary(
-        lam=lam,
         omega11_factor=f,
         w=w,
         schur=schur,

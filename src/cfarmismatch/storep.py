@@ -22,16 +22,14 @@ from .randkit import _generator, standard_circular
 class RepSampler:
     """Frozen per-(sigma, sigma_t, alpha) state driving the pair sampler.
 
-    ``lam`` are the eigenvalues of the leading whitened block, ``l11`` a
-    factor with l11 @ l11^H equal to that block, ``w`` the cross row
-    (scalar contribution = w @ x1, plain dot), ``r`` the Schur complement,
-    and ``gamma_t`` = |alpha|^2 v^H inv(sigma_t) v. Immutable, shareable
-    across workers.
+    ``l11`` is a factor with l11 @ l11^H equal to the leading whitened
+    block, ``w`` the cross row (scalar contribution = w @ x1, plain dot),
+    ``r`` the Schur complement, and ``gamma_t`` = |alpha|^2 v^H inv(sigma_t) v.
+    Immutable, shareable across workers.
     """
 
     n: int
     k: int
-    lam: np.ndarray
     l11: np.ndarray
     w: np.ndarray
     r: float
@@ -42,8 +40,6 @@ class RepSampler:
             raise ValueError(f"need K >= N >= 2, got N={self.n}, K={self.k}")
         if not self.r > 0:
             raise ValueError(f"Schur complement must be positive, got {self.r}")
-        if np.any(self.lam <= 0):
-            raise ValueError("leading-block eigenvalues must be positive")
         if self.gamma_t < 0:
             raise ValueError(f"gamma_t must be >= 0, got {self.gamma_t}")
 
@@ -58,7 +54,6 @@ def make_sampler(sigma, sigma_t, v, alpha_abs, k) -> RepSampler:
     return RepSampler(
         n=n,
         k=int(k),
-        lam=om.lam,
         l11=om.omega11_factor,
         w=om.w,
         r=om.schur,

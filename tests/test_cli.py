@@ -197,6 +197,23 @@ def test_sweep_rerun_is_byte_identical(tmp_path):
     assert (out / "sweep.csv").read_bytes() == first
 
 
+def test_sweep_runs_ill_conditioned_scenario(tmp_path):
+    # cond(sigma) is about 4e7; every draw must decompose.
+    cfg = {
+        "seed": 915,
+        "scenario": {"n": 64, "k": 128, "cnr_db": 60.0, "rho1": 0.999},
+        "mismatch": {"variant": "inv_wishart", "delta_db": 6.0},
+        "detectors": [{"kind": "kelly"}],
+        "n_draws": 2,
+        "pfa_target": 1e-2,
+        "trials": {"calibration": 10_000, "pfa": 1024},
+    }
+    path = write_cfg(tmp_path, "cfg.json", cfg)
+    out = tmp_path / "res"
+    assert main(["sweep", "--config", path, "--out", str(out), "--workers", "1"]) == 0
+    assert json.loads((out / "sweep_summary.json").read_text())["errors"] == []
+
+
 def test_roc_joint_estimates_identity(tmp_path):
     cfg = {
         "seed": 909,

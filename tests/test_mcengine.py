@@ -1,8 +1,9 @@
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
-from scipy import integrate
+from scipy import integrate, special
 from scipy import stats as sstats
 
 from cfarmismatch import mcengine
@@ -113,6 +114,31 @@ def test_detection_matches_monte_carlo(i, snr):
                               nomismatch_sampler(N, K, gamma_t=snr), 400_000)
     est = PfaEstimate.from_counts(count, 400_000)
     assert est.ci_lo <= matched_exceedance(AMF, eta, N, K, snr) <= est.ci_hi
+
+
+@pytest.mark.parametrize("k", [32, 527, 5015])
+def test_blocked_detection_sum_matches_full_sum(k):
+    eta = calibrate_threshold(AMF, N, k, 1e-2)
+    big_l = k - N + 1
+    beta, w = mcengine._beta_rule(N, k)
+    y = eta * beta  # the AMF statistic at t_tilde = 1 is 1 / beta
+    j = np.arange(big_l + 1)
+    log_pmf = (special.gammaln(big_l + 1) - special.gammaln(j + 1) - special.gammaln(big_l + 1 - j)
+               + special.xlogy(j, y[:, None]) - big_l * np.log1p(y)[:, None])
+    lower = np.where(j == 0, 1.0, special.gammainc(np.maximum(j, 1), (beta * 3.0 / (1.0 + y))[:, None]))
+    full = float(w @ np.sum(np.exp(log_pmf) * lower, axis=1))
+    assert matched_exceedance(AMF, eta, N, k, 3.0) == pytest.approx(full, rel=1e-12)
+
+
+def test_detection_memory_is_bounded_in_training_size():
+    eta = calibrate_threshold(AMF, N, 5015, 1e-2)
+    tracemalloc.start()
+    try:
+        matched_exceedance(AMF, eta, N, 5015, 3.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10e6
 
 
 def test_calibration_draws_no_trials(monkeypatch):

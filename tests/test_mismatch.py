@@ -10,6 +10,7 @@ from cfarmismatch.mismatch import (
     omega_decompose,
 )
 from cfarmismatch.randkit import StreamKey
+from cfarmismatch.scenario import ScenarioCfg, build_cov, build_steering
 
 
 def draw(stream, sigma, v, variant, delta_db=6.0, **kw):
@@ -150,7 +151,7 @@ def test_ger_eig_lambda_matches_drawn_scalar(sigma, steer):
 
 def test_omega_identity_case(sigma, steer):
     om = omega_decompose(sigma, sigma, steer)
-    assert np.abs(om.lam - 1.0).max() < 1e-10
+    assert np.abs(om.omega11_factor - np.eye(len(steer) - 1)).max() < 1e-10
     assert np.linalg.norm(om.w) < 1e-10
     assert abs(om.schur - 1.0) < 1e-10
 
@@ -184,3 +185,19 @@ def test_omega_ger_chol_schur_is_drawn_scalar(sigma, steer):
     st, meta = draw(StreamKey(117), sigma, steer, "ger_chol")
     om = omega_decompose(sigma, st, steer)
     assert abs(om.schur - meta["psi22"]) < 1e-8 * meta["psi22"]
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_omega_decomposes_ill_conditioned_scenario(variant):
+    # cond(sigma) is about 4e7 here: the rotation must stay unitary to 1e-8
+    # and the Schur complement must match the ratio to 1e-6.
+    scn = ScenarioCfg(n=64, k=128, cnr_db=60.0, rho1=0.999)
+    sigma = build_cov(scn)
+    steer = build_steering(scn.n, scn.fd)
+    root = StreamKey(118).child(VARIANTS.index(variant))
+    for i in range(5):
+        st, _ = draw(root.child(i), sigma, steer, variant)
+        om = omega_decompose(sigma, st, steer)
+        num = (steer.conj() @ np.linalg.solve(st, steer)).real
+        den = (steer.conj() @ np.linalg.solve(sigma, steer)).real
+        assert abs(om.schur - num / den) < 1e-6 * (num / den)

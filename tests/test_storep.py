@@ -9,8 +9,10 @@ from cfarmismatch.detect import (
     raw_stats_batch,
     stat_values,
 )
+from cfarmismatch.mcengine import MisSetup, draw_pairs
 from cfarmismatch.mismatch import MismatchSpec, check_ger, gen_sigma_t
 from cfarmismatch.randkit import StreamKey, beta_cdf, cf1_survival
+from cfarmismatch.scenario import ScenarioCfg, build_cov, build_steering, snr_to_alpha
 from cfarmismatch.storep import (
     RepSampler,
     make_sampler,
@@ -29,14 +31,13 @@ def ks_against(samples, cdf):
 
 
 def matched_sampler(gamma_t=0.0):
-    return RepSampler(n=N, k=K, lam=np.ones(N - 1),
-                      l11=np.eye(N - 1, dtype=complex),
+    return RepSampler(n=N, k=K, l11=np.eye(N - 1, dtype=complex),
                       w=np.zeros(N - 1, dtype=complex), r=1.0, gamma_t=gamma_t)
 
 
 def test_make_sampler_matched_fields(sigma, steer):
     s = make_sampler(sigma, sigma, steer, 0.0, K)
-    assert np.abs(s.lam - 1.0).max() < 1e-10
+    assert np.abs(s.l11 - np.eye(N - 1)).max() < 1e-10
     assert np.linalg.norm(s.w) < 1e-10
     assert abs(s.r - 1.0) < 1e-10
     assert s.gamma_t == 0.0
@@ -58,12 +59,12 @@ def test_make_sampler_gamma_t_value(sigma, steer):
 
 def test_sampler_state_validation():
     with pytest.raises(ValueError):
-        RepSampler(n=N, k=15, lam=np.ones(N - 1), l11=np.eye(N - 1, dtype=complex),
+        RepSampler(n=N, k=15, l11=np.eye(N - 1, dtype=complex),
                    w=np.zeros(N - 1, dtype=complex), r=1.0, gamma_t=0.0)
     with pytest.raises(ValueError):
         matched_sampler(gamma_t=-1.0)
     with pytest.raises(ValueError):
-        RepSampler(n=N, k=K, lam=np.ones(N - 1), l11=np.eye(N - 1, dtype=complex),
+        RepSampler(n=N, k=K, l11=np.eye(N - 1, dtype=complex),
                    w=np.zeros(N - 1, dtype=complex), r=0.0, gamma_t=0.0)
 
 
@@ -114,7 +115,8 @@ def test_beta_marginal_matches_gamma_mixture_oracle(sigma, steer):
     s = make_sampler(sigma, st, steer, 0.0, K)
     beta, _ = sample_pairs(StreamKey(308), s, 100_000)
     rng = np.random.default_rng(309)
-    mix = rng.exponential(size=(100_000, N - 1)) @ s.lam
+    lam = np.linalg.eigvalsh(s.l11 @ s.l11.conj().T)
+    mix = rng.exponential(size=(100_000, N - 1)) @ lam
     beta_ref = 1.0 / (1.0 + mix / rng.gamma(K - N + 2, 1.0, size=100_000))
     from scipy import stats as sstats
 
@@ -151,6 +153,29 @@ def test_fast_path_matches_direct_path(sigma, steer, alpha):
     assert d_t < KS_LIMIT, f"t marginals differ: D={d_t:.4f}"
 
 
+@pytest.mark.parametrize("snr", [0.0, 30.0])
+def test_fast_path_matches_direct_path_at_high_cnr(snr):
+    # cond(sigma) is about 4e7; the rotation must keep the pair law exact.
+    scn = ScenarioCfg(n=64, k=128, cnr_db=60.0, rho1=0.999)
+    sigma = build_cov(scn)
+    steer = build_steering(scn.n, scn.fd)
+    st, _ = gen_sigma_t(StreamKey(322), sigma, steer, MismatchSpec("inv_wishart", 6.0))
+    alpha = snr_to_alpha(snr, sigma, steer)
+    n_s = 4096
+    beta_f, t_f = sample_pairs(StreamKey(323), make_sampler(sigma, st, steer, alpha, scn.k), n_s)
+    setup = MisSetup(sigma=sigma, sigma_t=st, v=steer, alpha_abs=alpha, k=scn.k)
+    pairs = [draw_pairs(StreamKey(324).child(ci), setup, 256) for ci in range(n_s // 256)]
+    beta_d = np.concatenate([b for b, _ in pairs])
+    t_d = np.concatenate([t for _, t in pairs])
+
+    from scipy import stats as sstats
+
+    # Two equal samples of n: D follows kstwo at n / 2 under the null.
+    limit = sstats.kstwo.isf(1e-3, n_s // 2)
+    assert float(sstats.ks_2samp(beta_f, beta_d).statistic) < limit
+    assert float(sstats.ks_2samp(t_f, t_d).statistic) < limit
+
+
 def test_ger_sampler_agrees_with_general_sampler(sigma, steer):
     st, _ = gen_sigma_t(StreamKey(313), sigma, steer, MismatchSpec("ger_eig", 6.0))
     rep = check_ger(sigma, st, steer)
@@ -158,7 +183,8 @@ def test_ger_sampler_agrees_with_general_sampler(sigma, steer):
     s = make_sampler(sigma, st, steer, 0.0, K)
     n_s = 200_000
     beta_a, t_a = sample_pairs(StreamKey(314), s, n_s)
-    beta_b, t_b = sample_pairs_ger(StreamKey(315), s.lam, s.r, 0.0, N, K, n_s)
+    lam = np.linalg.eigvalsh(s.l11 @ s.l11.conj().T)
+    beta_b, t_b = sample_pairs_ger(StreamKey(315), lam, s.r, 0.0, N, K, n_s)
     from scipy import stats as sstats
 
     assert float(sstats.ks_2samp(beta_a, beta_b).statistic) < KS_LIMIT
