@@ -79,6 +79,10 @@ def det_label(kind: DetectorKind) -> str:
     return kind.kind
 
 
+def clairvoyant_label(c: float) -> str:
+    return f"clairvoyant_c{c:g}"
+
+
 def run_meta(cfg: RunConfig) -> dict:
     return {
         "config_sha256": config_hash(cfg.normalized),
@@ -107,7 +111,7 @@ def build_parser() -> _Parser:
         sp.add_argument("--workers", type=int, default=None,
                         help="worker processes (default: available parallelism)")
         sp.add_argument("--path", choices=("fast", "direct"), default="fast",
-                        help="trial generation: representation sampler or full matrices")
+                        help="trial generation: representation sampler, or test vector and Bartlett factor")
     return parser
 
 
@@ -117,7 +121,12 @@ def _load_cfg(args) -> RunConfig:
         user["seed"] = args.seed
     if args.out is not None:
         user["out_dir"] = args.out
-    return from_dict(user)
+    cfg = from_dict(user)
+    # Rows and summaries are keyed by label, so a repeat would merge two detectors.
+    labels = [det_label(kind) for kind in cfg.detectors] + [clairvoyant_label(c) for c in cfg.clairvoyant_c]
+    if len(set(labels)) < len(labels):
+        raise ConfigError(f"detector labels must be distinct, got {labels}")
+    return cfg
 
 
 def _print(msg: str) -> None:
@@ -301,7 +310,7 @@ def cmd_sweep(cfg: RunConfig, workers: int, path: str, out: Path) -> int:
     ]
     eta_nominal = kelly_threshold(cfg.pfa_target, sc.n, sc.k)
     for c in cfg.clairvoyant_c:
-        plans.append(DetectorPlan(label=f"clairvoyant_c{c:g}", threshold=eta_nominal,
+        plans.append(DetectorPlan(label=clairvoyant_label(c), threshold=eta_nominal,
                                   clairvoyant_c=c))
     res = sweep(StreamKey(cfg.seed).child(_EXP_SWEEP), sc, cfg.mismatch, plans,
                 cfg.n_draws, cfg.trials.pfa, workers=workers, path=path)
@@ -388,7 +397,11 @@ def main(argv=None) -> int:
         print("config error: --workers must be >= 1", file=sys.stderr)
         return EXIT_CONFIG
     out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        print(f"config error: cannot create output directory: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     try:
         return _COMMANDS[args.command](cfg, workers, args.path, out)
     except (NotPositiveDefiniteError, RuntimeError, ArithmeticError) as exc:

@@ -182,11 +182,6 @@ def load_user_dict(path: str) -> dict:
     return user
 
 
-def load_config(path: str) -> RunConfig:
-    """Read and validate a JSON config file."""
-    return from_dict(load_user_dict(path))
-
-
 def canonical_json(norm: dict) -> str:
     """Key-sorted, whitespace-free rendering used for hashing and embedding."""
     return json.dumps(norm, sort_keys=True, separators=(",", ":"))

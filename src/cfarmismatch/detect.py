@@ -1,8 +1,8 @@
-"""Matrix-level reference path: draw (x, X_t), reduce to (s1, s2), score detectors.
+"""Matrix-level reference path: draw (x, L), reduce to (s1, s2), score detectors.
 
-Everything here works from explicit N-dimensional data, so it is slow and
-trustworthy. The fast representation sampler is validated against this path
-at the distribution level.
+L is the Cholesky factor of the training sample covariance, drawn with x from
+their exact joint law, so this path is slow and trustworthy. The fast
+representation sampler is validated against it at the distribution level.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matkit import chol, chol_stack, solve_lower, solve_lower_stack
+from .matkit import chol, solve_lower, solve_lower_stack
 from .randkit import _generator, standard_circular
 
 KINDS = ("kelly", "amf", "kalson")
@@ -43,11 +43,13 @@ def kalson(kappa: float) -> DetectorKind:
 
 
 def gen_data_batch(stream, sigma, sigma_t, alpha_abs, v, k, n_batch):
-    """n_batch trials: x = alpha*v + noise(sigma) of shape (n_batch, N) and
-    K training columns from sigma_t, X_t of shape (n_batch, N, K).
-
-    Draw order is pinned (test noise first, then training noise) so a stream
-    key maps to one reproducible data set.
+    """n_batch trials: x = alpha*v + noise(sigma), shape (n_batch, N), and the
+    Cholesky factor L = Gt A of the sample covariance of K training columns
+    from sigma_t = Gt Gt^H, shape (n_batch, N, N). By Bartlett's decomposition
+    (Goodman, Ann. Math. Stat. 1963), A is lower triangular with CN(0, 1)
+    entries below the diagonal and a_ii = sqrt(Gamma(K - i, 1)), i = 0..N-1.
+    Pinned draw order: test noise, then the strictly-lower entries of A in
+    ``np.tril_indices(N, -1)`` order, then the diagonal.
     """
     alpha_abs = float(alpha_abs)
     if alpha_abs < 0:
@@ -60,16 +62,20 @@ def gen_data_batch(stream, sigma, sigma_t, alpha_abs, v, k, n_batch):
     gt = chol(sigma_t)
     u = standard_circular(rng, (n_batch, n))
     x = alpha_abs * v[None, :] + u @ gx.T
-    z = standard_circular(rng, (n_batch, n, k))
-    xt = gt[None, :, :] @ z
-    return x, xt
+    rows, cols = np.tril_indices(n, -1)
+    diag = np.arange(n)
+    a = np.zeros((n_batch, n, n), dtype=np.complex128)
+    a[:, rows, cols] = standard_circular(rng, (n_batch, rows.size))
+    a[:, diag, diag] = np.sqrt(rng.standard_gamma(k - diag, (n_batch, n)))
+    return x, gt @ a
 
 
 def raw_stats(x, xt, v):
     """(s1, s2) from one trial: the pair every detector is a function of.
 
-    Scalar LAPACK route, kept as the independent reference that
-    ``raw_stats_batch`` is tested against.
+    ``xt`` is the N x K training data or any factor of their sample
+    covariance, since only xt xt^H is used. Scalar LAPACK route, kept as the
+    independent reference that ``raw_stats_batch`` is tested against.
     """
     st = xt @ xt.conj().T
     l = chol(0.5 * (st + st.conj().T))
@@ -81,11 +87,9 @@ def raw_stats(x, xt, v):
     return s1, s2
 
 
-def raw_stats_batch(x, xt, v):
-    """Vectorized raw_stats over leading axis; returns float arrays (s1, s2)."""
-    m, n, k = xt.shape
-    st = xt @ xt.conj().transpose(0, 2, 1)
-    l = chol_stack(0.5 * (st + st.conj().transpose(0, 2, 1)))
+def raw_stats_batch(x, l, v):
+    """Vectorized raw_stats over the leading axis from Cholesky factors l (m, N, N)."""
+    m, n, _ = l.shape
     a = solve_lower_stack(l, x[:, :, None])[:, :, 0]
     b = solve_lower_stack(l, np.broadcast_to(v[None, :, None], (m, n, 1)).copy())[:, :, 0]
     s1 = np.einsum("mi,mi->m", a.conj(), a).real

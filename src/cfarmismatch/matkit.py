@@ -91,14 +91,6 @@ def solve_lower(l: np.ndarray, b: np.ndarray) -> np.ndarray:
     return linalg.solve_triangular(l, np.asarray(b, dtype=np.complex128), lower=True)
 
 
-def chol_stack(a: np.ndarray) -> np.ndarray:
-    """Lower Cholesky factors of a stack (..., n, n) of HPD matrices."""
-    try:
-        return np.linalg.cholesky(a)
-    except np.linalg.LinAlgError as exc:
-        raise NotPositiveDefiniteError(0) from exc
-
-
 def solve_lower_stack(l: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Forward substitution on a stack: l (m, n, n) lower, b (m, n, k)."""
     n = l.shape[-1]

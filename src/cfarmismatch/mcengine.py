@@ -120,8 +120,8 @@ class ThresholdTable:
 
 @dataclass(frozen=True)
 class MisSetup:
-    """One fully specified simulation point for the direct (matrix) path:
-    covariances, steering, amplitude, K."""
+    """One simulation point of the direct path (test vector and Bartlett factor
+    of the sample covariance): covariances, steering, amplitude, K."""
 
     sigma: np.ndarray
     sigma_t: np.ndarray
@@ -244,13 +244,13 @@ def draw_pairs(stream, source, size: int):
     """(beta, t_tilde) arrays for one chunk of trials.
 
     ``source`` is a RepSampler (fast path: the representation sampler) or a
-    MisSetup (direct path: full matrices reduced by the raw statistics).
+    MisSetup (direct path: test vector and sample-covariance factor).
     """
     if isinstance(source, RepSampler):
         return sample_pairs(stream, source, size)
-    x, xt = gen_data_batch(stream, source.sigma, source.sigma_t, source.alpha_abs,
-                           source.v, source.k, size)
-    return pairs_from_raw(*raw_stats_batch(x, xt, source.v))
+    x, l = gen_data_batch(stream, source.sigma, source.sigma_t, source.alpha_abs,
+                          source.v, source.k, size)
+    return pairs_from_raw(*raw_stats_batch(x, l, source.v))
 
 
 def _count_chunk(args):
@@ -472,7 +472,7 @@ def sweep(stream, scenario: ScenarioCfg, mspec: MismatchSpec, plans, n_draws: in
 
     Stream layout: child(draw) -> child(purpose, [plan,] chunk); worker count
     never changes which stream generates which trial. ``path`` selects the
-    representation sampler ("fast") or full matrix simulation ("direct");
+    representation sampler ("fast") or the matrix-level oracle ("direct");
     the two consume streams differently, so they agree in distribution, not
     draw for draw.
     """

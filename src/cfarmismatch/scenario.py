@@ -37,11 +37,6 @@ class ScenarioCfg:
             raise ValueError(f"fd must be finite, got {self.fd}")
 
 
-def clutter_sigma_f(rho1: float) -> float:
-    """Spectral width giving the requested one-lag correlation exp(-2 pi^2 sf^2)."""
-    return float(np.sqrt(-np.log(rho1) / (2.0 * np.pi**2)))
-
-
 def build_cov(cfg: ScenarioCfg) -> np.ndarray:
     """Noise covariance P_c * C + I: Gaussian-shaped clutter plus white noise.
 

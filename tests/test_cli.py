@@ -59,6 +59,29 @@ def test_bad_workers_value(tmp_path, capsys):
     assert "workers" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("cfg,label", [
+    ({"detectors": [{"kind": "kalson", "kappa": 2.0}, {"kind": "kalson", "kappa": 2.0000001}]},
+     "kalson_k2"),
+    ({"clairvoyant_c": [1.0, 1.0]}, "clairvoyant_c1"),
+])
+def test_repeated_detector_label_is_config_error(tmp_path, capsys, cfg, label):
+    small = {"n_draws": 3, "pfa_target": 1e-2, "trials": {"calibration": 100_000, "pfa": 1000}}
+    path = write_cfg(tmp_path, "cfg.json", {**cfg, **small})
+    out = tmp_path / "res"
+    assert main(["sweep", "--config", path, "--out", str(out), "--workers", "1"]) == 1
+    err = capsys.readouterr().err
+    assert "config error" in err and label in err
+    assert not out.exists()
+
+
+def test_out_naming_a_file_is_config_error(tmp_path, capsys):
+    out = tmp_path / "taken"
+    out.write_text("not a directory")
+    assert main(["calibrate", "--out", str(out), "--workers", "1"]) == 1
+    assert "config error" in capsys.readouterr().err
+    assert out.read_text() == "not a directory"
+
+
 def test_calibrate_writes_threshold_table(tmp_path, capsys):
     cfg = {
         "seed": 901,

@@ -11,7 +11,6 @@ from cfarmismatch.config import (
     canonical_json,
     config_hash,
     from_dict,
-    load_config,
     load_user_dict,
     normalize,
 )
@@ -149,7 +148,7 @@ def test_seed_must_fit_in_64_bits(tmp_path):
 def test_load_config_round_trip(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"seed": 99, "mismatch": {"variant": "eig_jitter"}}))
-    cfg = load_config(str(path))
+    cfg = from_dict(load_user_dict(str(path)))
     assert cfg.seed == 99
     assert cfg.mismatch.variant == "eig_jitter"
 

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.stats import kstwo
 
 from cfarmismatch.detect import (
     AMF,
@@ -12,16 +13,19 @@ from cfarmismatch.detect import (
     raw_stats_batch,
     stat_values,
 )
+from cfarmismatch.matkit import chol
+from cfarmismatch.mcengine import MisSetup, draw_pairs, ks_2sample
 from cfarmismatch.mismatch import MismatchSpec, gen_sigma_t
-from cfarmismatch.randkit import StreamKey
+from cfarmismatch.randkit import StreamKey, standard_circular
+from cfarmismatch.scenario import ScenarioCfg, build_cov, build_steering, snr_to_alpha
 
 
 @pytest.fixture(scope="module")
 def one_draw(sigma, steer):
-    """One test vector and training block under a fixed mismatch draw."""
+    """One test vector and sample-covariance factor under a fixed mismatch draw."""
     st, _ = gen_sigma_t(StreamKey(200), sigma, steer, MismatchSpec("inv_wishart", 6.0))
-    x, xt = gen_data_batch(StreamKey(201), sigma, st, 1.5, steer, 32, 1)
-    return st, x[0], xt[0]
+    x, l = gen_data_batch(StreamKey(201), sigma, st, 1.5, steer, 32, 1)
+    return st, x[0], l[0]
 
 
 def test_detector_kind_validation():
@@ -110,10 +114,10 @@ def test_raw_stats_two_route(one_draw, steer):
 
 def test_raw_stats_batch_matches_scalar(one_draw, sigma, steer):
     st, _, _ = one_draw
-    x, xt = gen_data_batch(StreamKey(202), sigma, st, 0.7, steer, 32, 32)
-    s1, s2 = raw_stats_batch(x, xt, steer)
+    x, l = gen_data_batch(StreamKey(202), sigma, st, 0.7, steer, 32, 32)
+    s1, s2 = raw_stats_batch(x, l, steer)
     for i in range(32):
-        a, b = raw_stats(x[i], xt[i], steer)
+        a, b = raw_stats(x[i], l[i], steer)
         assert abs(s1[i] - a) < 1e-12 * a
         assert abs(s2[i] - b) < 1e-12 * max(b, 1e-30)
 
@@ -182,10 +186,42 @@ def test_gen_data_signal_mean(sigma, steer):
 def test_training_sample_covariance(sigma, steer):
     st, _ = gen_sigma_t(StreamKey(207), sigma, steer, MismatchSpec("eig_jitter", 6.0))
     n_cols = 100_000
-    _, xt = gen_data_batch(StreamKey(208), sigma, st, 0.0, steer, 32, n_cols // 32)
-    cols = np.swapaxes(xt, 1, 2).reshape(-1, 16)
-    scov = np.einsum("mi,mj->ij", cols, cols.conj()) / cols.shape[0]
+    _, l = gen_data_batch(StreamKey(208), sigma, st, 0.0, steer, 32, n_cols // 32)
+    scov = np.mean(l @ l.conj().transpose(0, 2, 1), axis=0) / 32
     assert np.abs(scov - st).max() < 0.05 * np.abs(np.diag(st)).max()
+
+
+@pytest.mark.parametrize("n,k", [(16, 32), (2, 2)])
+def test_bartlett_factor_is_the_cholesky_factor(n, k):
+    scn = ScenarioCfg(n=n, k=k)
+    sigma = build_cov(scn)
+    _, l = gen_data_batch(StreamKey(211), sigma, sigma, 0.0, build_steering(n, scn.fd), k, 256)
+    assert np.all(np.triu(l, 1) == 0.0)
+    diag = np.diagonal(l, axis1=1, axis2=2)
+    assert np.all(diag.imag == 0.0) and np.all(diag.real > 0.0)
+    ref = np.linalg.cholesky(l @ l.conj().transpose(0, 2, 1))
+    rel = np.linalg.norm(ref - l, axis=(1, 2)) / np.linalg.norm(l, axis=(1, 2))
+    assert rel.max() < 1e-12
+
+
+@pytest.mark.parametrize("variant", ["identity", "inv_wishart"])
+@pytest.mark.parametrize("snr", [0.0, 10.0])
+def test_bartlett_pair_law_matches_training_data(sigma, steer, variant, snr):
+    """(beta, t) from the direct path against pairs reduced by the scalar
+    raw_stats from explicit N x K training data Gt Z."""
+    st, _ = gen_sigma_t(StreamKey(212), sigma, steer, MismatchSpec(variant, 6.0))
+    alpha = snr_to_alpha(snr, sigma, steer)
+    m = 8192
+    beta_b, t_b = draw_pairs(StreamKey(213), MisSetup(sigma, st, steer, alpha, 32), m)
+    rng = np.random.default_rng(214)
+    gx, gt = chol(sigma), chol(st)
+    s = np.array([raw_stats(alpha * steer + gx @ standard_circular(rng, 16),
+                            gt @ standard_circular(rng, (16, 32)), steer) for _ in range(m)])
+    beta_d, t_d = pairs_from_raw(s[:, 0], s[:, 1])
+    # Two samples of m each: D has the one-sample law at the effective size m/2.
+    limit = kstwo.isf(1e-3, m // 2)
+    assert ks_2sample(beta_b, beta_d) < limit
+    assert ks_2sample(t_b, t_d) < limit
 
 
 def test_matched_unit_covariance_mean_stats():
@@ -197,8 +233,8 @@ def test_matched_unit_covariance_mean_stats():
     root = StreamKey(209)
     while done < n_tr:
         m = min(4096, n_tr - done)
-        x, xt = gen_data_batch(root.child(ci), eye, eye, 0.0, e1, 32, m)
-        s1, _ = raw_stats_batch(x, xt, e1)
+        x, l = gen_data_batch(root.child(ci), eye, eye, 0.0, e1, 32, m)
+        s1, _ = raw_stats_batch(x, l, e1)
         s1_acc += float(s1.sum())
         done += m
         ci += 1
@@ -212,8 +248,8 @@ def test_matched_direct_path_moments(sigma, steer):
     beta_acc, t_acc = 0.0, 0.0
     while done < n_tr:
         m = min(4096, n_tr - done)
-        x, xt = gen_data_batch(root.child(ci), sigma, sigma, 0.0, steer, 32, m)
-        beta, t = pairs_from_raw(*raw_stats_batch(x, xt, steer))
+        x, l = gen_data_batch(root.child(ci), sigma, sigma, 0.0, steer, 32, m)
+        beta, t = pairs_from_raw(*raw_stats_batch(x, l, steer))
         beta_acc += float(beta.sum())
         t_acc += float(t.sum())
         done += m

@@ -5,7 +5,6 @@ import scipy.linalg as sla
 from cfarmismatch.matkit import (
     NotPositiveDefiniteError,
     chol,
-    chol_stack,
     heig,
     hermitian_part,
     ortho_complement,
@@ -137,23 +136,10 @@ def test_solve_lower_matches_scipy(rand_hpd):
     assert np.abs(solve_lower(l, b) - sla.solve_triangular(l, b, lower=True)).max() < 1e-13
 
 
-def test_chol_stack_matches_per_matrix(rand_hpd):
-    mats = np.stack([rand_hpd(4, seed=20 + i) for i in range(6)])
-    ls = chol_stack(mats)
-    for i in range(6):
-        assert np.abs(ls[i] - chol(mats[i])).max() < 1e-13
-
-
-def test_chol_stack_rejects_indefinite_batch(rand_hpd):
-    mats = np.stack([rand_hpd(3, seed=30), -np.eye(3, dtype=complex)])
-    with pytest.raises(NotPositiveDefiniteError):
-        chol_stack(mats)
-
-
 def test_solve_lower_stack_matches_loop(rand_hpd):
     rng = np.random.default_rng(31)
     mats = np.stack([rand_hpd(4, seed=40 + i) for i in range(5)])
-    ls = chol_stack(mats)
+    ls = np.stack([chol(a) for a in mats])
     b = rng.standard_normal((5, 4, 2)) + 1j * rng.standard_normal((5, 4, 2))
     out = solve_lower_stack(ls, b)
     for i in range(5):

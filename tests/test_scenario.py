@@ -6,7 +6,6 @@ from cfarmismatch.scenario import (
     ScenarioCfg,
     build_cov,
     build_steering,
-    clutter_sigma_f,
     snr_to_alpha,
     whitened_quad,
 )
@@ -55,12 +54,6 @@ def test_cov_gaussian_lag_profile(sigma):
     lags = np.arange(16)
     expected = 100.0 * 0.95 ** (lags**2)
     assert np.abs(clutter[0, :] - expected).max() < 1e-8
-
-
-def test_sigma_f_inverts_one_lag_value():
-    sf = clutter_sigma_f(0.95)
-    assert abs(np.exp(-2.0 * np.pi**2 * sf**2) - 0.95) < 1e-12
-    assert abs(sf - 0.05098) < 1e-4
 
 
 def test_steering_unit_norm(steer):

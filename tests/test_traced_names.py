@@ -2,6 +2,7 @@
 
 import importlib
 import importlib.util
+import inspect
 from pathlib import Path
 
 import pytest
@@ -29,3 +30,15 @@ def test_traced_name_resolves(layer, attr):
 def test_pool_probe_names_resolve():
     assert callable(mcengine._map_chunks)
     assert isinstance(mcengine.ProcessPoolExecutor, type)
+
+
+# The tracer's counters read these arguments by position (spans.COUNTERS).
+@pytest.mark.parametrize("layer,func,index,name", [
+    ("detect", "gen_data_batch", 6, "n_batch"),
+    ("storep", "sample_pairs", 2, "size"),
+    ("report", "write_csv", 0, "path"),
+    ("report", "svg_plot", 0, "path"),
+])
+def test_counted_argument_position(layer, func, index, name):
+    fn = getattr(importlib.import_module(f"cfarmismatch.{layer}"), func)
+    assert list(inspect.signature(fn).parameters)[index] == name
