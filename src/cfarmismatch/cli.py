@@ -3,8 +3,9 @@
 Commands: validate | calibrate | cdf | sweep | roc. Every command reads one
 JSON config (defaults apply when omitted), derives all randomness from the
 seed through labeled streams, and writes CSV/JSON/SVG files whose headers
-embed the normalized config, its hash, the seed, and the generator id, so a
-result file documents how to regenerate itself bitwise.
+embed the normalized config (less the output directory), its hash, the seed,
+and the generator id, so a result file documents how to regenerate itself
+bitwise, wherever it is written.
 
 Exit codes: 0 success, 1 config error, 2 validation failure, 3 numerical failure.
 """
@@ -12,6 +13,7 @@ Exit codes: 0 success, 1 config error, 2 validation failure, 3 numerical failure
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 from pathlib import Path
@@ -26,6 +28,7 @@ from .mcengine import (
     DetectorPlan,
     MisSetup,
     PfaEstimate,
+    SweepRow,
     ThresholdTable,
     _chunks,
     calibrate_entry,
@@ -57,11 +60,7 @@ _EXP_SWEEP = 1
 _EXP_CDF = 3
 _EXP_VALIDATE = 4
 
-SWEEP_FIELDS = (
-    "draw_id", "variant", "draw_meta", "detector", "kappa", "n_trials",
-    "exceedances", "pfa_hat", "ci_lo", "ci_hi", "snr_db", "pd_n_trials",
-    "pd_exceedances", "pd_hat", "pd_ci_lo", "pd_ci_hi",
-)
+SWEEP_FIELDS = tuple(f.name for f in dataclasses.fields(SweepRow))
 
 
 class _UsageError(Exception):
@@ -84,12 +83,15 @@ def clairvoyant_label(c: float) -> str:
 
 
 def run_meta(cfg: RunConfig) -> dict:
+    # The output directory does not change any result, so it stays out of the
+    # hash: one experiment gives the same bytes under any --out.
+    experiment = {key: val for key, val in cfg.normalized.items() if key != "out_dir"}
     return {
-        "config_sha256": config_hash(cfg.normalized),
+        "config_sha256": config_hash(experiment),
         "seed": cfg.seed,
         "generator": GENERATOR_ID,
         "version": __version__,
-        "config": canonical_json(cfg.normalized),
+        "config": canonical_json(experiment),
     }
 
 
@@ -109,7 +111,7 @@ def build_parser() -> _Parser:
         sp.add_argument("--out", help="output directory (overrides config out_dir)")
         sp.add_argument("--seed", type=int, help="seed override (unsigned 64-bit)")
         sp.add_argument("--workers", type=int, default=None,
-                        help="worker processes (default: available parallelism)")
+                        help="worker processes (default: the CPUs this process may run on)")
         sp.add_argument("--path", choices=("fast", "direct"), default="fast",
                         help="trial generation: representation sampler, or test vector and Bartlett factor")
     return parser
@@ -260,7 +262,7 @@ def cmd_cdf(cfg: RunConfig, workers: int, path: str, out: Path) -> int:
     return EXIT_OK
 
 
-def _summarize(res, with_pd: bool) -> dict:
+def _summarize(res) -> dict:
     by_label: dict[str, list] = {}
     for row in res.rows:
         by_label.setdefault(row.detector, []).append(row)
@@ -277,7 +279,7 @@ def _summarize(res, with_pd: bool) -> dict:
             logp = np.log10(nonzero)
             entry["mean_log10_pfa"] = float(np.mean(logp))
             entry["std_log10_pfa"] = float(np.std(logp, ddof=1)) if logp.size > 1 else 0.0
-        if with_pd:
+        if rows[0].pd_hat is not None:
             pd = np.array([r.pd_hat for r in rows])
             entry["mean_pd"] = float(np.mean(pd))
             entry["std_pd"] = float(np.std(pd, ddof=1)) if pd.size > 1 else 0.0
@@ -288,8 +290,7 @@ def _summarize(res, with_pd: bool) -> dict:
 def _finish_sweep(res, out: Path, name: str, meta: dict, head: dict, summary: dict) -> int:
     """Write ``<name>.csv`` and ``<name>_summary.json``, report failed draws,
     and return the exit code."""
-    rows = [{field: getattr(row, field) for field in SWEEP_FIELDS} for row in res.rows]
-    write_csv(out / f"{name}.csv", SWEEP_FIELDS, rows, meta)
+    write_csv(out / f"{name}.csv", SWEEP_FIELDS, [dataclasses.asdict(row) for row in res.rows], meta)
     write_json(out / f"{name}_summary.json", {
         **head,
         "summary": summary,
@@ -315,7 +316,7 @@ def cmd_sweep(cfg: RunConfig, workers: int, path: str, out: Path) -> int:
     res = sweep(StreamKey(cfg.seed).child(_EXP_SWEEP), sc, cfg.mismatch, plans,
                 cfg.n_draws, cfg.trials.pfa, workers=workers, path=path)
     meta = run_meta(cfg)
-    summary = _summarize(res, with_pd=False)
+    summary = _summarize(res)
 
     series = []
     for plan in plans:
@@ -348,10 +349,9 @@ def cmd_roc(cfg: RunConfig, workers: int, path: str, out: Path) -> int:
         plans.append(DetectorPlan(label=det_label(e.kind), threshold=e.threshold,
                                   kind=e.kind, snr_linear=snr))
     res = sweep(StreamKey(cfg.seed).child(_EXP_SWEEP), sc, cfg.mismatch, plans,
-                cfg.n_draws, cfg.trials.pfa, with_pd=True, pd_trials=cfg.trials.pd,
-                workers=workers, path=path)
+                cfg.n_draws, cfg.trials.pfa, pd_trials=cfg.trials.pd, workers=workers, path=path)
     meta = run_meta(cfg)
-    summary = _summarize(res, with_pd=True)
+    summary = _summarize(res)
 
     series = []
     for plan in plans:
@@ -380,6 +380,14 @@ _COMMANDS = {
 }
 
 
+def _available_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the platform has
+    one, else the host's count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -392,7 +400,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    workers = args.workers if args.workers is not None else (os.cpu_count() or 1)
+    workers = args.workers if args.workers is not None else _available_cpus()
     if workers < 1:
         print("config error: --workers must be >= 1", file=sys.stderr)
         return EXIT_CONFIG

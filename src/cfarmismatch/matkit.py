@@ -27,11 +27,11 @@ def hermitian_part(a: np.ndarray) -> np.ndarray:
     return 0.5 * (a + a.conj().T)
 
 
-def check_hermitian(a: np.ndarray, tol: float = HERMITIAN_TOL, what: str = "matrix") -> np.ndarray:
+def check_hermitian(a: np.ndarray, what: str = "matrix") -> np.ndarray:
     a = np.asarray(a, dtype=np.complex128)
     scale = np.linalg.norm(a)
-    if scale > 0 and np.linalg.norm(a - a.conj().T) > tol * scale:
-        raise ValueError(f"{what} is not Hermitian to relative tolerance {tol:g}")
+    if scale > 0 and np.linalg.norm(a - a.conj().T) > HERMITIAN_TOL * scale:
+        raise ValueError(f"{what} is not Hermitian to relative tolerance {HERMITIAN_TOL:g}")
     return a
 
 

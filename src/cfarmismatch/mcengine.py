@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import optimize, special
-from scipy import stats as sstats
 
 from .detect import DetectorKind, gen_data_batch, kalson, pairs_from_raw, raw_stats_batch, stat_values
 from .mismatch import MismatchSpec, gen_sigma_t, omega_decompose
@@ -51,8 +50,8 @@ class PfaEstimate:
             raise ValueError("interval must satisfy ci_lo <= p_hat <= ci_hi in [0, 1]")
 
     @classmethod
-    def from_counts(cls, exceedances: int, n_trials: int, level: float = 0.95) -> "PfaEstimate":
-        lo, hi = wilson_ci(exceedances, n_trials, level)
+    def from_counts(cls, exceedances: int, n_trials: int) -> "PfaEstimate":
+        lo, hi = wilson_ci(exceedances, n_trials)
         return cls(
             p_hat=exceedances / n_trials,
             n_trials=n_trials,
@@ -79,12 +78,6 @@ class ThresholdEntry:
 class ThresholdTable:
     entries: tuple[ThresholdEntry, ...]
 
-    def lookup(self, kind: DetectorKind) -> ThresholdEntry:
-        for e in self.entries:
-            if e.kind == kind:
-                return e
-        raise KeyError(f"no calibrated entry for {kind}")
-
     def to_jsonable(self) -> list[dict]:
         return [
             {
@@ -99,23 +92,6 @@ class ThresholdTable:
             }
             for e in self.entries
         ]
-
-    @classmethod
-    def from_jsonable(cls, items: list[dict]) -> "ThresholdTable":
-        entries = []
-        for it in items:
-            entries.append(
-                ThresholdEntry(
-                    kind=DetectorKind(it["kind"], it["kappa"]),
-                    n=it["n"],
-                    k=it["k"],
-                    pfa_target=it["pfa_target"],
-                    threshold=it["threshold"],
-                    n_trials=it["n_trials"],
-                    achieved=PfaEstimate(**it["achieved"]),
-                )
-            )
-        return cls(entries=tuple(entries))
 
 
 @dataclass(frozen=True)
@@ -133,7 +109,8 @@ class MisSetup:
 @dataclass(frozen=True)
 class DetectorPlan:
     """One sweep column: a detector (fixed, or clairvoyant kappa = c * Schur),
-    its calibrated threshold, and optionally the calibrated SNR for P_d rows."""
+    its calibrated threshold, and optionally the calibrated SNR for P_d rows;
+    the plans of one sweep all carry an SNR or none does."""
 
     label: str
     threshold: float
@@ -409,7 +386,7 @@ def meta_digest(variant_meta: dict, schur: float) -> str:
 
 
 def _sweep_draw(args):
-    (draw_stream, draw_id, scenario, mspec, plans, n_trials, pd_trials, with_pd, path) = args
+    (draw_stream, draw_id, scenario, mspec, plans, n_trials, pd_trials, path) = args
     try:
         sigma = build_cov(scenario)
         v = build_steering(scenario.n, scenario.fd)
@@ -432,7 +409,7 @@ def _sweep_draw(args):
         for pi, (plan, kd, count) in enumerate(zip(plans, kinds, counts)):
             est = PfaEstimate.from_counts(count, n_trials)
             pd_fields = {}
-            if with_pd:
+            if plan.snr_linear is not None:
                 alpha_abs = snr_to_alpha(plan.snr_linear, sigma, v)
                 (pd_count,) = _count(draw_stream.child(_PURPOSE_H1, pi), source(alpha_abs),
                                      ((kd, plan.threshold),), pd_trials)
@@ -466,9 +443,10 @@ def _sweep_draw(args):
 
 
 def sweep(stream, scenario: ScenarioCfg, mspec: MismatchSpec, plans, n_draws: int,
-          n_trials: int, with_pd: bool = False, pd_trials: int = 100_000,
-          workers: int = 1, path: str = "fast") -> SweepResult:
-    """Per-draw false-alarm (and optionally detection) estimates over mismatch draws.
+          n_trials: int, pd_trials: int = 100_000, workers: int = 1,
+          path: str = "fast") -> SweepResult:
+    """Per-draw false-alarm estimates over mismatch draws, plus detection
+    estimates over ``pd_trials`` when the plans carry a calibrated SNR.
 
     Stream layout: child(draw) -> child(purpose, [plan,] chunk); worker count
     never changes which stream generates which trial. ``path`` selects the
@@ -483,11 +461,11 @@ def sweep(stream, scenario: ScenarioCfg, mspec: MismatchSpec, plans, n_draws: in
         raise ValueError(f"n_draws must be >= 1, got {n_draws}")
     if path not in ("fast", "direct"):
         raise ValueError(f"path must be 'fast' or 'direct', got {path!r}")
-    for plan in plans:
-        if with_pd and plan.snr_linear is None:
-            raise ValueError(f"plan {plan.label!r} has no calibrated SNR for P_d rows")
+    missing = [plan.label for plan in plans if plan.snr_linear is None]
+    if 0 < len(missing) < len(plans):
+        raise ValueError(f"plans {missing} have no calibrated SNR for P_d rows, but others do")
     args = [
-        (stream.child(d), d, scenario, mspec, plans, n_trials, pd_trials, with_pd, path)
+        (stream.child(d), d, scenario, mspec, plans, n_trials, pd_trials, path)
         for d in range(n_draws)
     ]
     results = _map_chunks(_sweep_draw, args, workers)
@@ -512,9 +490,13 @@ def ecdf(values):
 
 def ks_stat(samples, cdf) -> float:
     """One-sample Kolmogorov-Smirnov sup distance against a callable CDF."""
-    return float(sstats.kstest(np.asarray(samples, dtype=float), cdf).statistic)
+    from scipy import stats  # only validation needs it; kept off the CLI's import path
+
+    return float(stats.kstest(np.asarray(samples, dtype=float), cdf).statistic)
 
 
 def ks_2sample(a, b) -> float:
     """Two-sample Kolmogorov-Smirnov sup distance."""
-    return float(sstats.ks_2samp(np.asarray(a, dtype=float), np.asarray(b, dtype=float)).statistic)
+    from scipy import stats
+
+    return float(stats.ks_2samp(np.asarray(a, dtype=float), np.asarray(b, dtype=float)).statistic)

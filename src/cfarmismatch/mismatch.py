@@ -160,13 +160,14 @@ def gen_sigma_t(stream, sigma: np.ndarray, v: np.ndarray, spec: MismatchSpec) ->
     raise AssertionError(f"unhandled variant {spec.variant!r}")
 
 
-def check_ger(sigma: np.ndarray, sigma_t: np.ndarray, v: np.ndarray, tol: float = 1e-8) -> GerReport:
-    """Measure how collinear inv(St) v is with inv(S) v."""
+def check_ger(sigma: np.ndarray, sigma_t: np.ndarray, v: np.ndarray) -> GerReport:
+    """Measure how collinear inv(St) v is with inv(S) v; it holds below a
+    relative residual of 1e-8."""
     a = solve_hpd(sigma_t, v)
     b = solve_hpd(sigma, v)
     coef = np.vdot(b, a) / np.vdot(b, b)
     residual = float(np.linalg.norm(a - coef * b) / np.linalg.norm(a))
-    return GerReport(residual=residual, lambda_ger=float(coef.real), holds=residual < tol)
+    return GerReport(residual=residual, lambda_ger=float(coef.real), holds=residual < 1e-8)
 
 
 def omega_decompose(sigma: np.ndarray, sigma_t: np.ndarray, v: np.ndarray) -> OmegaSummary:

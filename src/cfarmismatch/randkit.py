@@ -8,7 +8,8 @@ Conventions (fixed once, everything downstream assumes them):
   part of the stream contract, since every complex draw depends on it;
 * Cchi2(p, 0) is Gamma(shape=p, scale=1), no factor 2;
 * the noncentral Cchi2 is sampled by the shifted-Gaussian construction
-  |CN(sqrt(delta), 1)|^2 + Gamma(p-1, 1), exact and branch-free.
+  |CN(sqrt(delta), 1)|^2 + Gamma(p-1, 1), exact and branch-free;
+* every binomial interval is the two-sided 95 % Wilson score interval.
 
 Streams are counter-based: a (seed, path) pair is hashed to a Philox key,
 so identical keys replay identical sequences and distinct paths are
@@ -17,18 +18,20 @@ statistically independent regardless of worker count or draw order.
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import struct
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import special, stats
+from scipy import special
 
 _MASK64 = (1 << 64) - 1
 
 # Pinned into result-file metadata; bump the tag if stream derivation changes.
 GENERATOR_ID = f"philox4x64(sha256 seed/path)/numpy-{np.__version__}"
+
+# Standard normal quantile at 0.975, bit-equal to scipy.stats.norm.ppf(0.975).
+_Z95 = 1.959963984540054
 
 
 @dataclass(frozen=True)
@@ -129,20 +132,11 @@ def beta_cdf(a: float, b: float, x):
     return float(out) if out.ndim == 0 else out
 
 
-@functools.lru_cache(maxsize=8)
-def _two_sided_quantile(level: float) -> float:
-    """Standard normal quantile at 0.5 + level / 2; a sweep asks for one
-    level on every row, so each process computes it once."""
-    return stats.norm.ppf(0.5 + level / 2.0)
-
-
-def wilson_ci(k: int, n: int, level: float = 0.95) -> tuple[float, float]:
-    """Wilson score interval for k successes in n Bernoulli trials."""
+def wilson_ci(k: int, n: int) -> tuple[float, float]:
+    """Wilson 95 % score interval for k successes in n Bernoulli trials."""
     if not 0 <= k <= n:
         raise ValueError(f"need 0 <= k <= n, got k={k}, n={n}")
-    if not 0 < level < 1:
-        raise ValueError(f"confidence level must be in (0, 1), got {level}")
-    z = _two_sided_quantile(level)
+    z = _Z95
     p = k / n
     denom = 1.0 + z * z / n
     center = (p + z * z / (2 * n)) / denom

@@ -17,6 +17,9 @@ _PALETTE = (
     "#8c564b", "#17becf", "#7f7f7f", "#bcbd22", "#e377c2", "#111111",
 )
 
+# SVG canvas size in pixels.
+_WIDTH, _HEIGHT = 720, 480
+
 
 def fmt_value(val) -> str:
     """Canonical text for one CSV cell; None becomes the empty cell."""
@@ -71,13 +74,8 @@ def write_json(path, payload: dict, meta: dict) -> None:
         fh.write("\n")
 
 
-def _ticks(lo: float, hi: float, count: int = 5):
-    return np.linspace(lo, hi, count)
-
-
 def svg_plot(path, series, title: str, xlabel: str, ylabel: str, meta: dict,
-             scatter: bool = False, logx: bool = False,
-             width: int = 720, height: int = 480) -> None:
+             scatter: bool = False, logx: bool = False) -> None:
     """Self-contained line/scatter SVG.
 
     ``series`` is a list of (label, x, y) triples. With ``logx`` the x data
@@ -87,7 +85,7 @@ def svg_plot(path, series, title: str, xlabel: str, ylabel: str, meta: dict,
     if not series:
         raise ValueError("svg_plot needs at least one series")
     ml, mr, mt, mb = 64, 180, 40, 48
-    pw, ph = width - ml - mr, height - mt - mb
+    pw, ph = _WIDTH - ml - mr, _HEIGHT - mt - mb
 
     def xt(x):
         return np.log10(x) if logx else np.asarray(x, dtype=float)
@@ -114,23 +112,24 @@ def svg_plot(path, series, title: str, xlabel: str, ylabel: str, meta: dict,
         return mt + ph - (y - y0) / (y1 - y0) * ph
 
     out = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}" font-family="sans-serif" font-size="12">',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" height="{_HEIGHT}" '
+        f'viewBox="0 0 {_WIDTH} {_HEIGHT}" font-family="sans-serif" font-size="12">',
         f"<desc>{escape(json.dumps(meta, sort_keys=True))}</desc>",
-        f'<rect width="{width}" height="{height}" fill="#ffffff"/>',
-        f'<text x="{width / 2:.1f}" y="22" text-anchor="middle" font-size="15">{escape(title)}</text>',
+        f'<rect width="{_WIDTH}" height="{_HEIGHT}" fill="#ffffff"/>',
+        f'<text x="{_WIDTH / 2:.1f}" y="22" text-anchor="middle" font-size="15">{escape(title)}</text>',
         f'<line x1="{ml}" y1="{mt + ph}" x2="{ml + pw}" y2="{mt + ph}" stroke="#222"/>',
         f'<line x1="{ml}" y1="{mt}" x2="{ml}" y2="{mt + ph}" stroke="#222"/>',
     ]
-    for t in _ticks(x0 + padx, x1 - padx):
+    # Five ticks per axis, spanning the data without the padding.
+    for t in np.linspace(x0 + padx, x1 - padx, 5):
         lab = f"{10 ** t:.3g}" if logx else f"{t:.4g}"
         out.append(f'<line x1="{px(t):.1f}" y1="{mt + ph}" x2="{px(t):.1f}" y2="{mt + ph + 5}" stroke="#222"/>')
         out.append(f'<text x="{px(t):.1f}" y="{mt + ph + 18}" text-anchor="middle">{lab}</text>')
-    for t in _ticks(y0 + pady, y1 - pady):
+    for t in np.linspace(y0 + pady, y1 - pady, 5):
         out.append(f'<line x1="{ml - 5}" y1="{py(t):.1f}" x2="{ml}" y2="{py(t):.1f}" stroke="#222"/>')
         out.append(f'<text x="{ml - 8}" y="{py(t) + 4:.1f}" text-anchor="end">{t:.4g}</text>')
     out.append(
-        f'<text x="{ml + pw / 2:.1f}" y="{height - 10}" text-anchor="middle">{escape(xlabel)}</text>'
+        f'<text x="{ml + pw / 2:.1f}" y="{_HEIGHT - 10}" text-anchor="middle">{escape(xlabel)}</text>'
     )
     out.append(
         f'<text x="16" y="{mt + ph / 2:.1f}" text-anchor="middle" '

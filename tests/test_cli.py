@@ -1,15 +1,21 @@
 """End-to-end command line runs on small configs, in process via main()."""
 
 import json
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import cfarmismatch
 from cfarmismatch import mcengine
 from cfarmismatch.cli import SWEEP_FIELDS, main
 from cfarmismatch.config import config_hash, from_dict
-from cfarmismatch.mcengine import ThresholdTable, kelly_threshold
+from cfarmismatch.detect import AMF
+from cfarmismatch.mcengine import calibrate_threshold, kelly_threshold
 from cfarmismatch.report import read_csv
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
@@ -96,20 +102,23 @@ def test_calibrate_writes_threshold_table(tmp_path, capsys):
     assert "kelly" in text and "amf" in text and "kalson_k1" in text
 
     obj = json.loads((out / "thresholds.json").read_text())
-    table = ThresholdTable.from_jsonable(obj["thresholds"])
-    assert table.to_jsonable() == obj["thresholds"]
-    labels = [e.kind.kind for e in table.entries]
-    assert labels == ["kelly", "amf", "kalson"]
+    entries = obj["thresholds"]
+    assert [e["kind"] for e in entries] == ["kelly", "amf", "kalson"]
 
+    # The thresholds are closed forms, so equality also shows that the JSON
+    # round trip is lossless.
     eta = kelly_threshold(1e-2, 16, 32)
-    assert table.entries[0].threshold == eta
-    assert table.entries[2].threshold == eta
-    for e in table.entries:
-        assert abs(e.achieved.p_hat - 1e-2) < 1.5e-3
+    assert entries[0]["threshold"] == eta
+    assert entries[1]["threshold"] == calibrate_threshold(AMF, 16, 32, 1e-2)
+    assert entries[2]["threshold"] == eta
+    for e in entries:
+        assert abs(e["achieved"]["p_hat"] - 1e-2) < 1.5e-3
 
     meta = obj["meta"]
-    norm = from_dict({**cfg, "out_dir": str(out)}).normalized
+    norm = from_dict(cfg).normalized
+    del norm["out_dir"]
     assert meta["config_sha256"] == config_hash(norm)
+    assert "out_dir" not in json.loads(meta["config"])
     assert meta["seed"] == 901
     assert "numpy" in meta["generator"]
 
@@ -220,6 +229,19 @@ def test_sweep_rerun_is_byte_identical(tmp_path):
     assert (out / "sweep.csv").read_bytes() == first
 
 
+def test_sweep_is_byte_identical_under_any_out(tmp_path):
+    path = write_cfg(tmp_path, "cfg.json", SWEEP_CFG)
+    a, b = tmp_path / "a", tmp_path / "elsewhere" / "b"
+    for out in (a, b):
+        assert main(["sweep", "--config", path, "--out", str(out), "--seed", "7",
+                     "--workers", "1"]) == 0
+    names = sorted(p.name for p in a.iterdir())
+    assert names == ["sweep.csv", "sweep_pfa.svg", "sweep_summary.json"]
+    assert sorted(p.name for p in b.iterdir()) == names
+    for name in names:
+        assert (a / name).read_bytes() == (b / name).read_bytes()
+
+
 def test_sweep_runs_ill_conditioned_scenario(tmp_path):
     # cond(sigma) is about 4e7; every draw must decompose.
     cfg = {
@@ -304,6 +326,27 @@ def test_one_worker_pool_per_run(tmp_path, counted_pools, mismatch, code):
     path = write_cfg(tmp_path, "cfg.json", cfg)
     assert main(["roc", "--config", path, "--out", str(tmp_path / "res"), "--workers", "2"]) == code
     assert counted_pools == {"built": 1, "shut": 1}
+
+
+def test_default_workers_follow_the_affinity_mask(tmp_path, monkeypatch):
+    # One allowed CPU on a 64-CPU host: the default must not start a pool.
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a worker pool was started")
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(mcengine, "ProcessPoolExecutor", no_pool)
+    cfg = {"detectors": [{"kind": "kelly"}], "pfa_target": 1e-2, "trials": {"calibration": 10_000}}
+    path = write_cfg(tmp_path, "cfg.json", cfg)
+    assert main(["calibrate", "--config", path, "--out", str(tmp_path / "res")]) == 0
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    code = "import sys, cfarmismatch.cli; print('scipy.stats' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(Path(cfarmismatch.__file__).parents[1])}
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True)
+    assert res.stdout.strip() == "False"
 
 
 def test_validate_command_passes(tmp_path, capsys):

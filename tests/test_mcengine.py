@@ -12,8 +12,6 @@ from cfarmismatch.mcengine import (
     DetectorPlan,
     MisSetup,
     PfaEstimate,
-    ThresholdEntry,
-    ThresholdTable,
     calibrate_entry,
     calibrate_snr,
     calibrate_threshold,
@@ -176,19 +174,6 @@ def test_calibrate_entry_achieved_covers_target():
     assert entry.achieved.ci_lo <= 1e-2 <= entry.achieved.ci_hi
     assert entry.kind == AMF
     assert entry.n_trials == 200_000
-
-
-def test_threshold_table_round_trips_losslessly():
-    entries = tuple(
-        calibrate_entry(StreamKey(404).child(i), kind, N, K, 1e-2, 100_000)
-        for i, kind in enumerate((KELLY, AMF, kalson(2.0)))
-    )
-    table = ThresholdTable(entries=entries)
-    back = ThresholdTable.from_jsonable(table.to_jsonable())
-    assert back == table
-    assert table.lookup(kalson(2.0)).kind.kappa == 2.0
-    with pytest.raises(KeyError):
-        table.lookup(kalson(3.0))
 
 
 def test_pfa_estimate_validation():
@@ -406,11 +391,18 @@ def test_sweep_records_per_draw_failures(scn):
     assert all("nu" in msg for _, msg in res.errors)
 
 
-def test_sweep_with_pd_requires_snr(scn):
-    plans = (DetectorPlan(label="kelly", threshold=0.31, kind=KELLY),)
-    with pytest.raises(ValueError, match="no calibrated SNR"):
+def test_sweep_with_pd_requires_snr(scn, monkeypatch):
+    # P_d rows come from the plans, so a sweep where only some plans carry a
+    # calibrated SNR has no consistent row shape; it fails before any trial.
+    def no_trials(*args):
+        raise AssertionError("a trial was drawn")
+
+    monkeypatch.setattr(mcengine, "_count", no_trials)
+    plans = (DetectorPlan(label="kelly", threshold=0.31, kind=KELLY, snr_linear=10.0),
+             DetectorPlan(label="amf", threshold=0.31, kind=AMF))
+    with pytest.raises(ValueError, match=r"\['amf'\] have no calibrated SNR"):
         sweep(StreamKey(427), scn, MismatchSpec("identity"), plans,
-              n_draws=1, n_trials=1_000, with_pd=True, pd_trials=1_000)
+              n_draws=1, n_trials=1_000, pd_trials=1_000)
 
 
 def test_sweep_propagates_programming_errors(scn, monkeypatch):
@@ -432,7 +424,7 @@ def test_detection_is_steadier_than_false_alarm_rate(scn):
     snr = calibrate_snr(KELLY, eta, N, K, 0.7)
     plans = (DetectorPlan(label="c1", threshold=eta, clairvoyant_c=1.0, snr_linear=snr),)
     res = sweep(StreamKey(429), scn, MismatchSpec("inv_wishart", 3.0), plans,
-                n_draws=30, n_trials=400_000, with_pd=True, pd_trials=50_000)
+                n_draws=30, n_trials=400_000, pd_trials=50_000)
     assert not res.errors
     pfa = np.array([r.pfa_hat for r in res.rows])
     pd = np.array([r.pd_hat for r in res.rows])
