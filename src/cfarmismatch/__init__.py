@@ -14,7 +14,6 @@ from .mcengine import (
     MisSetup,
     PfaEstimate,
     SweepResult,
-    ThresholdTable,
     calibrate_snr,
     calibrate_threshold,
     ecdf,
@@ -36,7 +35,6 @@ __all__ = [
     "MisSetup",
     "PfaEstimate",
     "SweepResult",
-    "ThresholdTable",
     "calibrate_snr",
     "calibrate_threshold",
     "ecdf",

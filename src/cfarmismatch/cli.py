@@ -29,7 +29,7 @@ from .mcengine import (
     MisSetup,
     PfaEstimate,
     SweepRow,
-    ThresholdTable,
+    ThresholdEntry,
     _chunks,
     calibrate_entry,
     calibrate_snr,
@@ -55,6 +55,8 @@ EXIT_VALIDATION = 2
 EXIT_NUMERIC = 3
 
 # Top-level stream labels, one per experiment family under a seed (2 is retired).
+# Under _EXP_CAL, chunk ci of the matched trials that cross-check every
+# detector's threshold comes from child(ci).
 _EXP_CAL = 0
 _EXP_SWEEP = 1
 _EXP_CDF = 3
@@ -199,22 +201,23 @@ def cmd_validate(cfg: RunConfig, workers: int, path: str, out: Path) -> int:
     return EXIT_OK
 
 
-def _calibrate_table(cfg: RunConfig, workers: int) -> ThresholdTable:
+def _calibrate(cfg: RunConfig, workers: int) -> tuple[ThresholdEntry, ...]:
     sc = cfg.scenario
-    root = StreamKey(cfg.seed).child(_EXP_CAL)
-    entries = []
-    for i, kind in enumerate(cfg.detectors):
-        entries.append(
-            calibrate_entry(root.child(i), kind, sc.n, sc.k, cfg.pfa_target,
-                            cfg.trials.calibration, workers)
-        )
-    return ThresholdTable(entries=tuple(entries))
+    return calibrate_entry(StreamKey(cfg.seed).child(_EXP_CAL), cfg.detectors, sc.n, sc.k,
+                           cfg.pfa_target, cfg.trials.calibration, workers)
+
+
+def _thresholds_json(entries) -> list[dict]:
+    """The ``thresholds`` list of the JSON outputs: per entry, the detector's
+    kind and kappa, then the entry's other fields."""
+    return [{**dataclasses.asdict(e.kind), **dataclasses.asdict(e), "kind": e.kind.kind}
+            for e in entries]
 
 
 def cmd_calibrate(cfg: RunConfig, workers: int, path: str, out: Path) -> int:
-    table = _calibrate_table(cfg, workers)
-    write_json(out / "thresholds.json", {"thresholds": table.to_jsonable()}, run_meta(cfg))
-    for e in table.entries:
+    entries = _calibrate(cfg, workers)
+    write_json(out / "thresholds.json", {"thresholds": _thresholds_json(entries)}, run_meta(cfg))
+    for e in entries:
         _print(
             f"{det_label(e.kind):>12s}: threshold={e.threshold:.6f} "
             f"achieved pfa={e.achieved.p_hat:.3e} ci=[{e.achieved.ci_lo:.3e},{e.achieved.ci_hi:.3e}] "
@@ -304,10 +307,10 @@ def _finish_sweep(res, out: Path, name: str, meta: dict, head: dict, summary: di
 
 def cmd_sweep(cfg: RunConfig, workers: int, path: str, out: Path) -> int:
     sc = cfg.scenario
-    table = _calibrate_table(cfg, workers)
+    entries = _calibrate(cfg, workers)
     plans = [
         DetectorPlan(label=det_label(e.kind), threshold=e.threshold, kind=e.kind)
-        for e in table.entries
+        for e in entries
     ]
     eta_nominal = kelly_threshold(cfg.pfa_target, sc.n, sc.k)
     for c in cfg.clairvoyant_c:
@@ -335,15 +338,15 @@ def cmd_sweep(cfg: RunConfig, workers: int, path: str, out: Path) -> int:
             if "mean_log10_pfa" in entry else "all draws at zero exceedances"
         )
         _print(f"{label:>18s}: {mean_part} zero-draws={entry['zero_exceedance_draws']}")
-    return _finish_sweep(res, out, "sweep", meta, {"thresholds": table.to_jsonable()}, summary)
+    return _finish_sweep(res, out, "sweep", meta, {"thresholds": _thresholds_json(entries)}, summary)
 
 
 def cmd_roc(cfg: RunConfig, workers: int, path: str, out: Path) -> int:
     sc = cfg.scenario
-    table = _calibrate_table(cfg, workers)
+    entries = _calibrate(cfg, workers)
     plans = []
     snr_report = {}
-    for e in table.entries:
+    for e in entries:
         snr = calibrate_snr(e.kind, e.threshold, sc.n, sc.k, cfg.pd_target)
         snr_report[det_label(e.kind)] = {"snr_linear": snr, "snr_db": 10.0 * float(np.log10(snr))}
         plans.append(DetectorPlan(label=det_label(e.kind), threshold=e.threshold,
@@ -368,7 +371,7 @@ def cmd_roc(cfg: RunConfig, workers: int, path: str, out: Path) -> int:
         pd_part = f"mean Pd={entry['mean_pd']:.3f} std={entry['std_pd']:.3f}" if "mean_pd" in entry else ""
         _print(f"{label:>12s}: mean Pfa={entry['mean_pfa']:.3e} {pd_part}")
     return _finish_sweep(res, out, "roc", meta,
-                         {"thresholds": table.to_jsonable(), "snr": snr_report}, summary)
+                         {"thresholds": _thresholds_json(entries), "snr": snr_report}, summary)
 
 
 _COMMANDS = {

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import jsonschema
 
 from .detect import DetectorKind
-from .mismatch import VARIANTS, MismatchSpec
+from .mismatch import VARIANTS, MismatchSpec, wishart_dof
 from .scenario import ScenarioCfg
 
 
@@ -148,6 +148,7 @@ def from_dict(user: dict) -> RunConfig:
     try:
         scenario = ScenarioCfg(**norm["scenario"])
         mismatch = MismatchSpec(**norm["mismatch"])
+        wishart_dof(mismatch, scenario.n)  # raises here, not on every draw, when too small
         detectors = tuple(DetectorKind(d["kind"], d.get("kappa")) for d in norm["detectors"])
         trials = Trials(**norm["trials"])
     except (TypeError, ValueError) as exc:

@@ -29,10 +29,6 @@ _PURPOSE_SIGMA_T = 0
 _PURPOSE_H0 = 1
 _PURPOSE_H1 = 2
 
-# Terms of Kelly's sum over j evaluated at once in matched_exceedance.
-_J_BLOCK = 256
-
-
 @dataclass(frozen=True)
 class PfaEstimate:
     """Exceedance fraction with its Wilson 95% interval."""
@@ -72,26 +68,6 @@ class ThresholdEntry:
     threshold: float
     n_trials: int
     achieved: PfaEstimate
-
-
-@dataclass(frozen=True)
-class ThresholdTable:
-    entries: tuple[ThresholdEntry, ...]
-
-    def to_jsonable(self) -> list[dict]:
-        return [
-            {
-                "kind": e.kind.kind,
-                "kappa": e.kind.kappa,
-                "n": e.n,
-                "k": e.k,
-                "pfa_target": e.pfa_target,
-                "threshold": e.threshold,
-                "n_trials": e.n_trials,
-                "achieved": dataclasses.asdict(e.achieved),
-            }
-            for e in self.entries
-        ]
 
 
 @dataclass(frozen=True)
@@ -158,7 +134,7 @@ class SweepResult:
     errors: tuple[tuple[int, str], ...] = ()
 
 
-def nomismatch_sampler(n: int, k: int, gamma_t: float = 0.0) -> RepSampler:
+def nomismatch_sampler(n: int, k: int) -> RepSampler:
     """Sampler state for the matched case: unit block, zero cross row, unit gain."""
     return RepSampler(
         n=n,
@@ -166,7 +142,7 @@ def nomismatch_sampler(n: int, k: int, gamma_t: float = 0.0) -> RepSampler:
         l11=np.eye(n - 1, dtype=np.complex128),
         w=np.zeros(n - 1, dtype=np.complex128),
         r=1.0,
-        gamma_t=gamma_t,
+        gamma_t=0.0,
     )
 
 
@@ -278,27 +254,28 @@ def matched_exceedance(kind: DetectorKind, threshold: float, n: int, k: int,
 
     Given beta, the statistic exceeds when t_tilde > y = threshold / (the
     statistic at t_tilde = 1), and t_tilde is complex F(1, L), L = K-N+1,
-    with noncentrality beta * snr. Kelly's conditional P_d (IEEE TAES 1986)
-    is sum_j Binom(j; L, y/(1+y)) P(j, beta snr / (1+y)), P the regularized
-    lower incomplete gamma and P(0, .) = 1. At snr = 0 only (1+y)^-L is left;
-    its mean over beta is the AMF law of Robey et al. (IEEE TAES 1992).
-    The sum over j runs in blocks of ``_J_BLOCK`` terms, so memory stays
-    bounded in L.
+    with noncentrality beta * snr. At snr = 0 that is (1+y)^-L; its mean over
+    beta is the AMF law of Robey et al. (IEEE TAES 1992). Kelly's conditional
+    P_d (IEEE TAES 1986), sum_j Binom(j; L, y/(1+y)) P(j, x) with
+    x = beta snr / (1+y) and P the regularized lower incomplete gamma, is
+    P(Bin(L, y/(1+y)) <= Pois(x)). It is evaluated as the Poisson mixture
+    sum_{m<M} Pois(m; x) I_{1/(1+y)}(L-m, m+1) + P(L, x), the binomial CDF
+    at m as a regularized incomplete beta. The terms m >= M, with
+    M = min(L, ceil(x + 10 sqrt(x) + 30)) at the largest x, hold at most
+    P(Pois(x) >= M) <= 1e-20 and are dropped, so time and memory stay
+    bounded in K.
     """
     big_l = k - n + 1
     beta, w = _beta_rule(n, k)
     y = threshold / stat_values(kind, beta, np.ones_like(beta))
-    x = (beta * snr / (1.0 + y))[:, None]
-    j_end = big_l + 1 if snr > 0 else 1
-    total = np.zeros_like(beta)
-    for j0 in range(0, j_end, _J_BLOCK):
-        j = np.arange(j0, min(j0 + _J_BLOCK, j_end))
-        log_pmf = (special.gammaln(big_l + 1) - special.gammaln(j + 1)
-                   - special.gammaln(big_l + 1 - j)
-                   + special.xlogy(j, y[:, None]) - big_l * np.log1p(y)[:, None])
-        lower = np.where(j == 0, 1.0, special.gammainc(np.maximum(j, 1), x))
-        total += np.sum(np.exp(log_pmf) * lower, axis=1)
-    return float(w @ total)
+    if snr <= 0:
+        return float(w @ np.exp(-big_l * np.log1p(y)))
+    x = beta * snr / (1.0 + y)
+    x_max = float(x.max())
+    m = np.arange(min(big_l, int(np.ceil(x_max + 10.0 * np.sqrt(x_max) + 30.0))))
+    pois = np.exp(special.xlogy(m, x[:, None]) - x[:, None] - special.gammaln(m + 1))
+    below = special.betainc(big_l - m, m + 1, (1.0 / (1.0 + y))[:, None])
+    return float(w @ (np.sum(pois * below, axis=1) + special.gammainc(big_l, x)))
 
 
 def _increasing_root(g, start: float) -> float:
@@ -323,30 +300,38 @@ def calibrate_threshold(kind: DetectorKind, n: int, k: int, pfa_target: float) -
     return _increasing_root(lambda x: pfa_target - matched_exceedance(kind, x, n, k), eta)
 
 
-def calibrate_entry(stream, kind: DetectorKind, n: int, k: int, pfa_target: float,
-                    n_trials: int, workers: int = 1) -> ThresholdEntry:
-    """Threshold plus its Monte-Carlo cross-check: the achieved false-alarm
-    rate over ``n_trials`` matched trials from ``stream.child(1)``.
+def calibrate_entry(stream, kinds, n: int, k: int, pfa_target: float,
+                    n_trials: int, workers: int = 1) -> tuple[ThresholdEntry, ...]:
+    """Threshold of every detector in ``kinds`` plus its Monte-Carlo cross-check:
+    the achieved false-alarm rate over ``n_trials`` matched trials.
 
-    An achieved count more than five binomial sigmas from the target means
-    the sampler or the threshold is broken, so that is an error.
+    The matched law of (beta, t_tilde) has no parameters, so one trial set
+    serves every detector: chunk ci is drawn from ``stream.child(ci)``, and
+    the trials drawn do not depend on the number of detectors. Each detector's
+    achieved count is checked on its own; one more than five binomial sigmas
+    from the target means the sampler or that threshold is broken, so it is
+    an error that names the detector.
     """
-    threshold = calibrate_threshold(kind, n, k, pfa_target)
     required = int(np.ceil(100.0 / pfa_target))
     if n_trials < required:
         raise ValueError(
             f"n_trials={n_trials} too small for pfa_target={pfa_target}; need >= {required}"
         )
-    (count,) = _count(stream.child(1), nomismatch_sampler(n, k), ((kind, threshold),),
-                      n_trials, workers)
+    scores = tuple((kind, calibrate_threshold(kind, n, k, pfa_target)) for kind in kinds)
+    counts = _count(stream, nomismatch_sampler(n, k), scores, n_trials, workers)
     sigma = np.sqrt(n_trials * pfa_target * (1.0 - pfa_target))
-    if abs(count - n_trials * pfa_target) > 5.0 * sigma:
-        raise RuntimeError(
-            f"{kind.kind} threshold {threshold:.6g} gave {count} false alarms in {n_trials} "
-            f"trials, more than 5 sigma from target {pfa_target:.3e}"
-        )
-    return ThresholdEntry(kind=kind, n=n, k=k, pfa_target=pfa_target, threshold=threshold,
-                          n_trials=n_trials, achieved=PfaEstimate.from_counts(count, n_trials))
+    entries = []
+    for (kind, threshold), count in zip(scores, counts):
+        if abs(count - n_trials * pfa_target) > 5.0 * sigma:
+            name = kind.kind if kind.kappa is None else f"{kind.kind} (kappa={kind.kappa:g})"
+            raise RuntimeError(
+                f"{name} threshold {threshold:.6g} gave {count} false alarms in {n_trials} "
+                f"trials, more than 5 sigma from target {pfa_target:.3e}"
+            )
+        entries.append(ThresholdEntry(kind=kind, n=n, k=k, pfa_target=pfa_target,
+                                      threshold=threshold, n_trials=n_trials,
+                                      achieved=PfaEstimate.from_counts(count, n_trials)))
+    return tuple(entries)
 
 
 def count_exceedances(stream, kind: DetectorKind, threshold: float, source,

@@ -93,6 +93,22 @@ def _right_div_conj(a: np.ndarray, m: np.ndarray) -> np.ndarray:
     return np.linalg.solve(m.conj(), a.T).T
 
 
+def wishart_dof(spec: MismatchSpec, n: int) -> int | None:
+    """Degrees of freedom of the variant's Wishart draw at dimension ``n``:
+    ``nu`` for inv_wishart (needs nu > N), ``nu1`` for ger_chol (needs
+    nu1 > N-1), 2N when unset; None for the variants that draw none."""
+    if spec.variant == "inv_wishart":
+        name, dof, floor = "nu", spec.nu, n
+    elif spec.variant == "ger_chol":
+        name, dof, floor = "nu1", spec.nu1, n - 1
+    else:
+        return None
+    dof = 2 * n if dof is None else dof
+    if dof <= floor:
+        raise ValueError(f"{spec.variant} needs {name} > {floor} at N={n}, got {name}={dof}")
+    return dof
+
+
 def gen_sigma_t(stream, sigma: np.ndarray, v: np.ndarray, spec: MismatchSpec) -> tuple[np.ndarray, dict]:
     """Draw one training covariance under ``spec``; returns it plus the drawn scalars."""
     sigma = check_hermitian(sigma, what="sigma")
@@ -103,9 +119,7 @@ def gen_sigma_t(stream, sigma: np.ndarray, v: np.ndarray, spec: MismatchSpec) ->
         return sigma.copy(), {}
 
     if spec.variant == "inv_wishart":
-        nu = spec.nu if spec.nu is not None else 2 * n
-        if nu <= n:
-            raise ValueError(f"inv_wishart needs nu > N, got nu={nu}, N={n}")
+        nu = wishart_dof(spec, n)
         gamma = float(_db_uniform(rng, spec.delta_db))
         mu = gamma * (nu - n)  # E[inv(Wt)] = gamma * I
         wt = sample_cwishart(rng, n, nu, np.eye(n, dtype=np.complex128) / np.sqrt(mu))
@@ -119,10 +133,8 @@ def gen_sigma_t(stream, sigma: np.ndarray, v: np.ndarray, spec: MismatchSpec) ->
         return hermitian_part(sigma_t), {"gamma_n": gamma_n}
 
     if spec.variant == "ger_chol":
-        nu1 = spec.nu1 if spec.nu1 is not None else 2 * n
+        nu1 = wishart_dof(spec, n)
         m2 = spec.m2 if spec.m2 is not None else 2 * n
-        if nu1 <= n - 1:
-            raise ValueError(f"ger_chol needs nu1 > N-1, got nu1={nu1}, N={n}")
         vu = v / np.linalg.norm(v)
         vperp = ortho_complement(vu)
         qv = np.hstack([vperp, vu[:, None]])

@@ -312,9 +312,15 @@ def counted_pools(monkeypatch):
 
 @pytest.mark.parametrize("mismatch,code", [
     ({"variant": "identity"}, 0),
-    ({"variant": "inv_wishart", "nu": 16}, 3),  # nu <= N fails every draw
+    ({"variant": "inv_wishart"}, 3),  # every draw fails: gen_sigma_t raises below
 ])
-def test_one_worker_pool_per_run(tmp_path, counted_pools, mismatch, code):
+def test_one_worker_pool_per_run(tmp_path, counted_pools, monkeypatch, mismatch, code):
+    if code:
+        # The pool forks after this patch, so its workers see it too.
+        def broken(*args):
+            raise RuntimeError("draw failed")
+
+        monkeypatch.setattr(mcengine, "gen_sigma_t", broken)
     cfg = {
         "seed": 913,
         "mismatch": mismatch,
@@ -326,6 +332,63 @@ def test_one_worker_pool_per_run(tmp_path, counted_pools, mismatch, code):
     path = write_cfg(tmp_path, "cfg.json", cfg)
     assert main(["roc", "--config", path, "--out", str(tmp_path / "res"), "--workers", "2"]) == code
     assert counted_pools == {"built": 1, "shut": 1}
+
+
+@pytest.mark.parametrize("command", ["sweep", "roc"])
+@pytest.mark.parametrize("mismatch,named", [
+    ({"variant": "inv_wishart", "nu": 10}, "nu=10"),
+    ({"variant": "ger_chol", "nu1": 15}, "nu1=15"),
+])
+def test_wishart_dof_at_or_below_the_bound_is_config_error(tmp_path, capsys, monkeypatch,
+                                                           command, mismatch, named):
+    # N = 16: inv_wishart needs nu > N and ger_chol nu1 > N-1. The run must
+    # stop before any work, so not even the output directory is made.
+    def no_trials(*args):
+        raise AssertionError("a trial was drawn")
+
+    monkeypatch.setattr(mcengine, "draw_pairs", no_trials)
+    cfg = {"mismatch": mismatch, "n_draws": 2, "pfa_target": 1e-2,
+           "trials": {"calibration": 10_000, "pfa": 1_000}}
+    path = write_cfg(tmp_path, "cfg.json", cfg)
+    out = tmp_path / "res"
+    assert main([command, "--config", path, "--out", str(out), "--workers", "1"]) == 1
+    err = capsys.readouterr().err
+    assert "config error" in err and named in err
+    assert not out.exists()
+
+
+def test_calibration_draws_one_trial_set_for_all_detectors(tmp_path, monkeypatch):
+    # Three detectors share the 100 000 matched trials; one trial set each
+    # would draw 300 000.
+    drawn = []
+    draw = mcengine.draw_pairs
+
+    def counted(stream, source, size):
+        drawn.append(size)
+        return draw(stream, source, size)
+
+    monkeypatch.setattr(mcengine, "draw_pairs", counted)
+    cfg = {"detectors": [{"kind": "kelly"}, {"kind": "amf"}, {"kind": "kalson", "kappa": 2.0}],
+           "pfa_target": 1e-2, "trials": {"calibration": 100_000}}
+    path = write_cfg(tmp_path, "cfg.json", cfg)
+    assert main(["calibrate", "--config", path, "--out", str(tmp_path / "res"),
+                 "--workers", "1"]) == 0
+    assert sum(drawn) == 100_000
+
+
+def test_thresholds_are_byte_identical_across_worker_counts(tmp_path):
+    cfg = {"seed": 917,
+           "detectors": [{"kind": "kelly"}, {"kind": "amf"}, {"kind": "kalson", "kappa": 2.0}],
+           "pfa_target": 1e-2, "trials": {"calibration": 200_000}}
+    path = write_cfg(tmp_path, "cfg.json", cfg)
+    files = []
+    for workers in (1, 2, 3):
+        out = tmp_path / f"w{workers}"
+        assert main(["calibrate", "--config", path, "--out", str(out),
+                     "--workers", str(workers)]) == 0
+        files.append((out / "thresholds.json").read_bytes())
+    assert files[1] == files[0]
+    assert files[2] == files[0]
 
 
 def test_default_workers_follow_the_affinity_mask(tmp_path, monkeypatch):

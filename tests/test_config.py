@@ -14,6 +14,7 @@ from cfarmismatch.config import (
     load_user_dict,
     normalize,
 )
+from cfarmismatch.mismatch import MismatchSpec
 
 
 def test_empty_config_gets_defaults():
@@ -99,6 +100,23 @@ def test_from_dict_builds_typed_config():
     assert isinstance(cfg.clairvoyant_c[0], float)
     assert cfg.seed == 7
     assert cfg.normalized["seed"] == 7
+
+
+@pytest.mark.parametrize("n,mismatch,ok", [
+    (16, {"variant": "inv_wishart", "nu": 16}, False),
+    (16, {"variant": "inv_wishart", "nu": 17}, True),
+    (8, {"variant": "inv_wishart", "nu": 10}, True),
+    (16, {"variant": "ger_chol", "nu1": 15}, False),
+    (16, {"variant": "ger_chol", "nu1": 16}, True),
+    (2, {"variant": "ger_chol"}, True),
+])
+def test_wishart_dof_bound_follows_the_scenario_size(n, mismatch, ok):
+    user = {"scenario": {"n": n, "k": 2 * n}, "mismatch": mismatch}
+    if ok:
+        assert from_dict(user).mismatch == MismatchSpec(**mismatch)
+    else:
+        with pytest.raises(ConfigError, match=f"{mismatch['variant']} needs"):
+            from_dict(user)
 
 
 def test_kalson_without_kappa_is_config_error():

@@ -1,3 +1,4 @@
+import dataclasses
 import re
 import tracemalloc
 
@@ -58,7 +59,7 @@ def test_calibrate_threshold_matches_closed_form():
 
 def test_calibrate_threshold_refuses_thin_samples():
     with pytest.raises(ValueError, match="100000"):
-        calibrate_entry(StreamKey(401), KELLY, N, K, 1e-3, 5_000)
+        calibrate_entry(StreamKey(401), (KELLY,), N, K, 1e-3, 5_000)
 
 
 def test_calibrate_unit_kappa_equals_glrt():
@@ -101,7 +102,8 @@ def test_detection_at_zero_snr_is_false_alarm(n, k, kind):
     eta = calibrate_threshold(kind, n, k, 1e-3)
     pfa = matched_exceedance(kind, eta, n, k)
     assert pfa == pytest.approx(1e-3, rel=1e-12)
-    # A vanishing SNR runs the full Kelly sum; every j >= 1 term must vanish.
+    # A vanishing SNR runs the Poisson mixture; only its m = 0 term, the
+    # false-alarm probability, may survive.
     assert pfa <= matched_exceedance(kind, eta, n, k, 1e-12) <= pfa * (1.0 + 1e-9)
 
 
@@ -109,13 +111,15 @@ def test_detection_at_zero_snr_is_false_alarm(n, k, kind):
 def test_detection_matches_monte_carlo(i, snr):
     eta = calibrate_threshold(AMF, N, K, 1e-2)
     count = count_exceedances(StreamKey(433).child(i), AMF, eta,
-                              nomismatch_sampler(N, K, gamma_t=snr), 400_000)
+                              dataclasses.replace(nomismatch_sampler(N, K), gamma_t=snr), 400_000)
     est = PfaEstimate.from_counts(count, 400_000)
     assert est.ci_lo <= matched_exceedance(AMF, eta, N, K, snr) <= est.ci_hi
 
 
 @pytest.mark.parametrize("k", [32, 527, 5015])
 def test_blocked_detection_sum_matches_full_sum(k):
+    # Reference: all L+1 terms of Kelly's sum over j, against the truncated
+    # Poisson mixture, from P_d near the false-alarm rate up to near one.
     eta = calibrate_threshold(AMF, N, k, 1e-2)
     big_l = k - N + 1
     beta, w = mcengine._beta_rule(N, k)
@@ -123,9 +127,11 @@ def test_blocked_detection_sum_matches_full_sum(k):
     j = np.arange(big_l + 1)
     log_pmf = (special.gammaln(big_l + 1) - special.gammaln(j + 1) - special.gammaln(big_l + 1 - j)
                + special.xlogy(j, y[:, None]) - big_l * np.log1p(y)[:, None])
-    lower = np.where(j == 0, 1.0, special.gammainc(np.maximum(j, 1), (beta * 3.0 / (1.0 + y))[:, None]))
-    full = float(w @ np.sum(np.exp(log_pmf) * lower, axis=1))
-    assert matched_exceedance(AMF, eta, N, k, 3.0) == pytest.approx(full, rel=1e-12)
+    for snr in (3.0, 30.0, 300.0):
+        x = (beta * snr / (1.0 + y))[:, None]
+        lower = np.where(j == 0, 1.0, special.gammainc(np.maximum(j, 1), x))
+        full = float(w @ np.sum(np.exp(log_pmf) * lower, axis=1))
+        assert matched_exceedance(AMF, eta, N, k, snr) == pytest.approx(full, rel=1e-12), snr
 
 
 def test_detection_memory_is_bounded_in_training_size():
@@ -163,17 +169,33 @@ def test_calibrate_snr_rejects_target_below_false_alarm():
 
 
 def test_calibrate_entry_rejects_a_wrong_threshold(monkeypatch):
+    # Only the AMF threshold is off; the shared trials must single it out.
     exact = mcengine.calibrate_threshold
-    monkeypatch.setattr(mcengine, "calibrate_threshold", lambda *args: 1.2 * exact(*args))
-    with pytest.raises(RuntimeError, match="5 sigma"):
-        calibrate_entry(StreamKey(434), AMF, N, K, 1e-2, 100_000)
+
+    def amf_off(kind, *args):
+        return (1.2 if kind == AMF else 1.0) * exact(kind, *args)
+
+    monkeypatch.setattr(mcengine, "calibrate_threshold", amf_off)
+    with pytest.raises(RuntimeError, match=r"^amf threshold .* 5 sigma"):
+        calibrate_entry(StreamKey(434), (KELLY, AMF, kalson(2.0)), N, K, 1e-2, 100_000)
 
 
 def test_calibrate_entry_achieved_covers_target():
-    entry = calibrate_entry(StreamKey(403), AMF, N, K, 1e-2, 200_000)
+    (entry,) = calibrate_entry(StreamKey(403), (AMF,), N, K, 1e-2, 200_000)
     assert entry.achieved.ci_lo <= 1e-2 <= entry.achieved.ci_hi
     assert entry.kind == AMF
     assert entry.n_trials == 200_000
+
+
+def test_calibrate_entry_scores_every_detector_on_one_trial_set():
+    # The first detector's entry is the same alone and alongside others, and
+    # each entry carries its own calibrated threshold.
+    kinds = (KELLY, AMF, kalson(2.0))
+    entries = calibrate_entry(StreamKey(436), kinds, N, K, 1e-2, 100_000)
+    (alone,) = calibrate_entry(StreamKey(436), kinds[:1], N, K, 1e-2, 100_000)
+    assert entries[0] == alone
+    assert [e.kind for e in entries] == list(kinds)
+    assert [e.threshold for e in entries] == [calibrate_threshold(kd, N, K, 1e-2) for kd in kinds]
 
 
 def test_pfa_estimate_validation():
@@ -249,7 +271,7 @@ def test_calibrate_snr_hits_detection_target():
     snr = calibrate_snr(KELLY, eta, N, K, 0.7)
     assert snr > 0
     count = count_exceedances(StreamKey(414), KELLY, eta,
-                              nomismatch_sampler(N, K, gamma_t=snr), 20_000)
+                              dataclasses.replace(nomismatch_sampler(N, K), gamma_t=snr), 20_000)
     est = PfaEstimate.from_counts(count, 20_000)
     assert est.ci_lo <= 0.7 <= est.ci_hi
 
@@ -259,7 +281,8 @@ def test_zero_snr_detection_equals_false_alarm():
     pfa_count = count_exceedances(StreamKey(415), KELLY, eta, nomismatch_sampler(N, K),
                                   100_000)
     pd_count = count_exceedances(StreamKey(415), KELLY, eta,
-                                 nomismatch_sampler(N, K, gamma_t=0.0), 100_000)
+                                 dataclasses.replace(nomismatch_sampler(N, K), gamma_t=0.0),
+                                 100_000)
     assert pfa_count == pd_count
 
 
@@ -268,7 +291,8 @@ def test_doubling_snr_raises_detection():
     ests = []
     for i, snr in enumerate((8.0, 16.0)):
         count = count_exceedances(StreamKey(416).child(i), KELLY, eta,
-                                  nomismatch_sampler(N, K, gamma_t=snr), 1_000_000)
+                                  dataclasses.replace(nomismatch_sampler(N, K), gamma_t=snr),
+                                  1_000_000)
         ests.append(PfaEstimate.from_counts(count, 1_000_000))
     assert ests[0].ci_hi < ests[1].ci_lo
 

@@ -8,6 +8,7 @@ from cfarmismatch.mismatch import (
     check_ger,
     gen_sigma_t,
     omega_decompose,
+    wishart_dof,
 )
 from cfarmismatch.randkit import StreamKey
 from cfarmismatch.scenario import ScenarioCfg, build_cov, build_steering
@@ -92,6 +93,18 @@ def test_inv_wishart_centers_on_sigma(sigma, steer):
 def test_inv_wishart_dof_must_exceed_dimension(sigma, steer):
     with pytest.raises(ValueError):
         draw(StreamKey(1), sigma, steer, "inv_wishart", nu=16)
+
+
+@pytest.mark.parametrize("spec,dof", [
+    (MismatchSpec("inv_wishart"), 32),
+    (MismatchSpec("inv_wishart", nu=17), 17),
+    (MismatchSpec("ger_chol"), 32),
+    (MismatchSpec("ger_chol", nu1=16), 16),
+    (MismatchSpec("identity", nu=3), None),
+    (MismatchSpec("eig_jitter"), None),
+])
+def test_wishart_dof_defaults_to_twice_the_dimension(spec, dof):
+    assert wishart_dof(spec, 16) == dof
 
 
 def test_eig_jitter_zero_width_reproduces_sigma(sigma, steer):
