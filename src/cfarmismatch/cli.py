@@ -42,6 +42,7 @@ from .mcengine import (
     nomismatch_sampler,
     shutdown_pool,
     sweep,
+    within_five_sigma,
 )
 from .mismatch import MismatchSpec, check_ger, gen_sigma_t
 from .randkit import GENERATOR_ID, StreamKey, beta_cdf, cf1_survival
@@ -155,9 +156,9 @@ def cmd_validate(cfg: RunConfig, workers: int, path: str, out: Path) -> int:
     est = PfaEstimate.from_counts(count, 1_000_000)
     record(
         "glrt_closed_form_cfar",
-        est.ci_lo <= cfg.pfa_target <= est.ci_hi,
+        within_five_sigma(count, 1_000_000, cfg.pfa_target),
         f"threshold={thr:.6g} pfa_hat={est.p_hat:.3e} ci=[{est.ci_lo:.3e},{est.ci_hi:.3e}] "
-        f"target={cfg.pfa_target:.3e}",
+        f"target={cfg.pfa_target:.3e} limit=5 sigma",
     )
 
     beta, t = sample_pairs(root.child(1), nomismatch_sampler(n, k), 100_000)

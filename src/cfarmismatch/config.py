@@ -1,8 +1,11 @@
-"""Experiment configuration: JSON schema, defaults, loading, canonical hashing.
+"""Experiment configuration: key table, defaults, loading, canonical hashing.
 
-Configs are strict: unknown keys are rejected before any computation, and
-every output file embeds the normalized config plus its hash so a result can
-be regenerated bitwise from its own header.
+Configs are checked before any computation. One table gives every key its
+type, and each number is stored as its field's type (16.0 in an integer field
+is 16), so one experiment has one hash. Ranges and enums are checked by the
+typed objects the config builds, run-level rules by ``from_dict``. Every
+output file embeds the normalized config plus its hash so a result can be
+regenerated bitwise from its own header.
 """
 
 from __future__ import annotations
@@ -12,79 +15,27 @@ import hashlib
 import json
 from dataclasses import dataclass
 
-import jsonschema
-
 from .detect import DetectorKind
-from .mismatch import VARIANTS, MismatchSpec, wishart_dof
+from .mcengine import calibration_trials
+from .mismatch import MismatchSpec, wishart_dof
 from .scenario import ScenarioCfg
 
 
 class ConfigError(ValueError):
-    """Invalid experiment configuration (schema or semantic)."""
+    """Invalid experiment configuration; the message names where in the config
+    (``scenario``, ``detectors/0``, ``(top level)``)."""
 
 
-SCHEMA = {
-    "$schema": "https://json-schema.org/draft/2020-12/schema",
-    "type": "object",
-    "additionalProperties": False,
-    "properties": {
-        "scenario": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "n": {"type": "integer", "minimum": 2},
-                "k": {"type": "integer", "minimum": 2},
-                "cnr_db": {"type": "number"},
-                "rho1": {"type": "number", "exclusiveMinimum": 0, "exclusiveMaximum": 1},
-                "fd": {"type": "number"},
-            },
-        },
-        "mismatch": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "variant": {"enum": list(VARIANTS)},
-                "delta_db": {"type": "number", "minimum": 0},
-                "nu": {"type": "integer", "minimum": 2},
-                "nu1": {"type": "integer", "minimum": 2},
-                "m2": {"type": "integer", "minimum": 2},
-                "pin_psi22": {"type": "number", "exclusiveMinimum": 0},
-            },
-        },
-        "detectors": {
-            "type": "array",
-            "minItems": 1,
-            "items": {
-                "type": "object",
-                "additionalProperties": False,
-                "properties": {
-                    "kind": {"enum": ["kelly", "amf", "kalson"]},
-                    "kappa": {"type": "number", "exclusiveMinimum": 0},
-                },
-                "required": ["kind"],
-            },
-        },
-        "clairvoyant_c": {
-            "type": "array",
-            "items": {"type": "number", "exclusiveMinimum": 0},
-        },
-        "seed": {"type": "integer", "minimum": 0, "maximum": 2**64 - 1},
-        "n_draws": {"type": "integer", "minimum": 1},
-        "n_cdf_draws": {"type": "integer", "minimum": 1},
-        "trials": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "calibration": {"type": "integer", "minimum": 1000},
-                "pfa": {"type": "integer", "minimum": 100},
-                "pd": {"type": "integer", "minimum": 100},
-                "cdf_samples": {"type": "integer", "minimum": 100},
-            },
-        },
-        "pfa_target": {"type": "number", "exclusiveMinimum": 0, "exclusiveMaximum": 1},
-        "pd_target": {"type": "number", "exclusiveMinimum": 0, "exclusiveMaximum": 1},
-        "out_dir": {"type": "string", "minLength": 1},
-    },
+# Every key and its type: a dict is a section, a one-item list an array of that item.
+_KEYS = {
+    "scenario": {"n": int, "k": int, "cnr_db": float, "rho1": float, "fd": float},
+    "mismatch": {"variant": str, "delta_db": float, "nu": int, "nu1": int, "m2": int,
+                 "pin_psi22": float},
+    "detectors": [{"kind": str, "kappa": float}],
+    "clairvoyant_c": [float],
+    "seed": int, "n_draws": int, "n_cdf_draws": int,
+    "trials": {"calibration": int, "pfa": int, "pd": int, "cdf_samples": int},
+    "pfa_target": float, "pd_target": float, "out_dir": str,
 }
 
 DEFAULTS = {
@@ -109,6 +60,11 @@ class Trials:
     pd: int
     cdf_samples: int
 
+    def __post_init__(self):
+        for name, floor in (("calibration", 1000), ("pfa", 100), ("pd", 100), ("cdf_samples", 100)):
+            if getattr(self, name) < floor:
+                raise ValueError(f"{name} must be >= {floor}, got {getattr(self, name)}")
+
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -126,46 +82,83 @@ class RunConfig:
     normalized: dict
 
 
-def normalize(user: dict) -> dict:
-    """Schema-validate a raw config dict and fill defaults (one level deep)."""
+def _invalid(path: tuple, message) -> ConfigError:
+    where = "/".join(str(p) for p in path) or "(top level)"
+    return ConfigError(f"config invalid at {where}: {message}")
+
+
+def _typed(val, spec, path: tuple = ()):
+    """``val`` checked against its ``_KEYS`` entry, each number as its field's type."""
+    if isinstance(spec, dict):
+        if not isinstance(val, dict):
+            raise _invalid(path, f"expected an object, got {val!r}")
+        unknown = sorted(set(val) - set(spec))
+        if unknown:
+            raise _invalid(path, f"unknown keys {unknown}")
+        return {key: _typed(item, spec[key], (*path, key)) for key, item in val.items()}
+    if isinstance(spec, list):
+        if not isinstance(val, list):
+            raise _invalid(path, f"expected an array, got {val!r}")
+        return [_typed(item, spec[0], (*path, i)) for i, item in enumerate(val)]
+    number = isinstance(val, (int, float)) and not isinstance(val, bool)
+    ok = (isinstance(val, str) if spec is str
+          else number and (spec is float or isinstance(val, int) or val.is_integer()))
+    if not ok:
+        name = {str: "a string", int: "an integer", float: "a number"}[spec]
+        raise _invalid(path, f"expected {name}, got {val!r}")
     try:
-        jsonschema.validate(user, SCHEMA)
-    except jsonschema.ValidationError as exc:
-        where = "/".join(str(p) for p in exc.absolute_path) or "(top level)"
-        raise ConfigError(f"config invalid at {where}: {exc.message}") from exc
-    merged = copy.deepcopy(DEFAULTS)
-    for key, val in user.items():
-        if isinstance(val, dict):
-            merged[key].update(val)
-        else:
-            merged[key] = copy.deepcopy(val)
-    return merged
+        return spec(val)
+    except OverflowError:
+        raise _invalid(path, f"{val!r} is out of range") from None
+
+
+def _build(path: tuple, make, *args, **kwargs):
+    """``make(*args, **kwargs)``, whose TypeError or ValueError names ``path``."""
+    try:
+        return make(*args, **kwargs)
+    except (TypeError, ValueError) as exc:
+        raise _invalid(path, exc) from exc
+
+
+def _require(path: tuple, ok: bool, rule: str) -> None:
+    if not ok:
+        raise _invalid(path, rule)
+
+
+def normalize(user: dict) -> dict:
+    """Check a raw config dict and fill defaults: the dict that is hashed."""
+    return from_dict(user).normalized
 
 
 def from_dict(user: dict) -> RunConfig:
-    """Build a validated RunConfig from a raw dict."""
-    norm = normalize(user)
-    try:
-        scenario = ScenarioCfg(**norm["scenario"])
-        mismatch = MismatchSpec(**norm["mismatch"])
-        wishart_dof(mismatch, scenario.n)  # raises here, not on every draw, when too small
-        detectors = tuple(DetectorKind(d["kind"], d.get("kappa")) for d in norm["detectors"])
-        trials = Trials(**norm["trials"])
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(str(exc)) from exc
+    """Build a validated RunConfig from a raw dict; defaults fill the keys it omits."""
+    norm = copy.deepcopy(DEFAULTS)
+    for key, val in _typed(user, _KEYS).items():
+        norm[key] = {**norm[key], **val} if isinstance(val, dict) else val
+    scenario = _build(("scenario",), ScenarioCfg, **norm["scenario"])
+    mismatch = _build(("mismatch",), MismatchSpec, **norm["mismatch"])
+    _build(("mismatch",), wishart_dof, mismatch, scenario.n)  # here, not on every draw
+    detectors = tuple(_build(("detectors", i), DetectorKind, **d)
+                      for i, d in enumerate(norm["detectors"]))
+    trials = _build(("trials",), Trials, **norm["trials"])
+    _require(("detectors",), len(detectors) > 0, "need at least one detector")
+    for i, c in enumerate(norm["clairvoyant_c"]):
+        _require(("clairvoyant_c", i), c > 0, f"must be positive, got {c}")
+    _require(("seed",), 0 <= norm["seed"] < 2**64, f"must be in [0, 2^64), got {norm['seed']}")
+    for key in ("n_draws", "n_cdf_draws"):
+        _require((key,), norm[key] >= 1, f"must be >= 1, got {norm[key]}")
+    for key in ("pfa_target", "pd_target"):
+        _require((key,), 0 < norm[key] < 1, f"must be in (0, 1), got {norm[key]}")
+    need = calibration_trials(norm["pfa_target"])
+    _require(("trials", "calibration"), trials.calibration >= need,
+             f"trials.calibration={trials.calibration} is too small for "
+             f"pfa_target={norm['pfa_target']}; need >= {need}")
+    _require(("out_dir",), norm["out_dir"] != "", "must not be empty")
     return RunConfig(
-        scenario=scenario,
-        mismatch=mismatch,
-        detectors=detectors,
-        clairvoyant_c=tuple(float(c) for c in norm["clairvoyant_c"]),
-        seed=norm["seed"],
-        n_draws=norm["n_draws"],
-        n_cdf_draws=norm["n_cdf_draws"],
-        trials=trials,
-        pfa_target=norm["pfa_target"],
-        pd_target=norm["pd_target"],
-        out_dir=norm["out_dir"],
-        normalized=norm,
+        scenario=scenario, mismatch=mismatch, detectors=detectors, trials=trials,
+        clairvoyant_c=tuple(norm["clairvoyant_c"]), normalized=norm,
+        **{key: norm[key] for key in ("seed", "n_draws", "n_cdf_draws", "pfa_target",
+                                      "pd_target", "out_dir")},
     )
 
 

@@ -99,8 +99,6 @@ class DetectorPlan:
             raise ValueError("exactly one of kind / clairvoyant_c must be set")
         if self.threshold < 0:
             raise ValueError(f"threshold must be >= 0, got {self.threshold}")
-        if self.clairvoyant_c is not None and not self.clairvoyant_c > 0:
-            raise ValueError("clairvoyant_c must be positive")
 
     def resolve(self, schur: float) -> DetectorKind:
         if self.kind is not None:
@@ -175,6 +173,7 @@ _TASKS_PER_WORKER = 16
 
 
 def _map_chunks(fn, args_list, workers: int):
+    """``[fn(a) for a in args_list]``, in order, on ``workers`` processes."""
     global _pool
     if workers <= 1:
         return [fn(a) for a in args_list]
@@ -300,6 +299,17 @@ def calibrate_threshold(kind: DetectorKind, n: int, k: int, pfa_target: float) -
     return _increasing_root(lambda x: pfa_target - matched_exceedance(kind, x, n, k), eta)
 
 
+def calibration_trials(pfa_target: float) -> int:
+    """Fewest trials that cross-check a threshold at ``pfa_target``: 100 expected alarms."""
+    return int(np.ceil(100.0 / pfa_target))
+
+
+def within_five_sigma(count: int, n_trials: int, p: float) -> bool:
+    """Whether ``count`` lies within five binomial sigmas of ``n_trials * p``;
+    further out, the sampler or the threshold under test is broken."""
+    return abs(count - n_trials * p) <= 5.0 * np.sqrt(n_trials * p * (1.0 - p))
+
+
 def calibrate_entry(stream, kinds, n: int, k: int, pfa_target: float,
                     n_trials: int, workers: int = 1) -> tuple[ThresholdEntry, ...]:
     """Threshold of every detector in ``kinds`` plus its Monte-Carlo cross-check:
@@ -308,21 +318,19 @@ def calibrate_entry(stream, kinds, n: int, k: int, pfa_target: float,
     The matched law of (beta, t_tilde) has no parameters, so one trial set
     serves every detector: chunk ci is drawn from ``stream.child(ci)``, and
     the trials drawn do not depend on the number of detectors. Each detector's
-    achieved count is checked on its own; one more than five binomial sigmas
-    from the target means the sampler or that threshold is broken, so it is
-    an error that names the detector.
+    achieved count must be ``within_five_sigma`` of the target, else the error
+    names the detector.
     """
-    required = int(np.ceil(100.0 / pfa_target))
+    required = calibration_trials(pfa_target)
     if n_trials < required:
         raise ValueError(
             f"n_trials={n_trials} too small for pfa_target={pfa_target}; need >= {required}"
         )
     scores = tuple((kind, calibrate_threshold(kind, n, k, pfa_target)) for kind in kinds)
     counts = _count(stream, nomismatch_sampler(n, k), scores, n_trials, workers)
-    sigma = np.sqrt(n_trials * pfa_target * (1.0 - pfa_target))
     entries = []
     for (kind, threshold), count in zip(scores, counts):
-        if abs(count - n_trials * pfa_target) > 5.0 * sigma:
+        if not within_five_sigma(count, n_trials, pfa_target):
             name = kind.kind if kind.kappa is None else f"{kind.kind} (kappa={kind.kappa:g})"
             raise RuntimeError(
                 f"{name} threshold {threshold:.6g} gave {count} false alarms in {n_trials} "
@@ -421,10 +429,10 @@ def _sweep_draw(args):
                 ci_hi=est.ci_hi,
                 **pd_fields,
             ))
-        return draw_id, rows, None
+        return rows, None
     except (ValueError, RuntimeError, ArithmeticError, np.linalg.LinAlgError) as exc:
         # A numerical failure is recorded per draw; anything else is a bug and propagates.
-        return draw_id, [], f"{type(exc).__name__}: {exc}"
+        return [], f"{type(exc).__name__}: {exc}"
 
 
 def sweep(stream, scenario: ScenarioCfg, mspec: MismatchSpec, plans, n_draws: int,
@@ -442,8 +450,6 @@ def sweep(stream, scenario: ScenarioCfg, mspec: MismatchSpec, plans, n_draws: in
     plans = tuple(plans)
     if not plans:
         raise ValueError("need at least one detector plan")
-    if n_draws < 1:
-        raise ValueError(f"n_draws must be >= 1, got {n_draws}")
     if path not in ("fast", "direct"):
         raise ValueError(f"path must be 'fast' or 'direct', got {path!r}")
     missing = [plan.label for plan in plans if plan.snr_linear is None]
@@ -456,7 +462,7 @@ def sweep(stream, scenario: ScenarioCfg, mspec: MismatchSpec, plans, n_draws: in
     results = _map_chunks(_sweep_draw, args, workers)
     rows: list[SweepRow] = []
     errors: list[tuple[int, str]] = []
-    for draw_id, draw_rows, err in sorted(results, key=lambda r: r[0]):
+    for draw_id, (draw_rows, err) in enumerate(results):
         if err is not None:
             errors.append((draw_id, err))
         else:

@@ -50,11 +50,11 @@ class MismatchSpec:
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown mismatch variant {self.variant!r}; expected one of {VARIANTS}")
-        if self.delta_db < 0:
+        if not self.delta_db >= 0:
             raise ValueError(f"delta_db must be >= 0, got {self.delta_db}")
         if self.m2 is not None and self.m2 < 2:
             raise ValueError(f"m2 must be >= 2 for the scalar block mean to exist, got {self.m2}")
-        if self.pin_psi22 is not None and self.pin_psi22 <= 0:
+        if self.pin_psi22 is not None and not self.pin_psi22 > 0:
             raise ValueError("pin_psi22 must be positive")
 
 

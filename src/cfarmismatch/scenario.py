@@ -51,8 +51,6 @@ def build_cov(cfg: ScenarioCfg) -> np.ndarray:
 
 def build_steering(n: int, fd: float) -> np.ndarray:
     """Unit-norm Doppler steering vector at normalized frequency fd."""
-    if n < 2:
-        raise ValueError(f"need at least 2 channels, got n={n}")
     return np.exp(2j * np.pi * fd * np.arange(n)) / np.sqrt(n)
 
 

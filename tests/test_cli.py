@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import cfarmismatch
-from cfarmismatch import mcengine
+from cfarmismatch import cli, mcengine
 from cfarmismatch.cli import SWEEP_FIELDS, main
 from cfarmismatch.config import config_hash, from_dict
 from cfarmismatch.detect import AMF
@@ -405,11 +405,36 @@ def test_default_workers_follow_the_affinity_mask(tmp_path, monkeypatch):
 
 
 def test_cli_import_leaves_scipy_stats_unloaded():
-    code = "import sys, cfarmismatch.cli; print('scipy.stats' in sys.modules)"
+    code = ("import sys, cfarmismatch.cli; "
+            "print('scipy.stats' in sys.modules, 'jsonschema' in sys.modules)")
     env = {**os.environ, "PYTHONPATH": str(Path(cfarmismatch.__file__).parents[1])}
     res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env=env, check=True)
-    assert res.stdout.strip() == "False"
+    assert res.stdout.strip() == "False False"
+
+
+@pytest.mark.parametrize("command", ["calibrate", "sweep", "roc"])
+def test_too_few_calibration_trials_is_config_error(tmp_path, capsys, command):
+    # 100 / pfa_target = 1e8 trials are needed; the run must stop before any
+    # work, so not even the output directory is made.
+    path = write_cfg(tmp_path, "cfg.json", {"pfa_target": 1e-6, "trials": {"calibration": 100_000}})
+    out = tmp_path / "res"
+    assert main([command, "--config", path, "--out", str(out), "--workers", "1"]) == 1
+    err = capsys.readouterr().err
+    assert "config error" in err and "trials.calibration" in err
+    assert not out.exists()
+
+
+def test_validate_judges_the_glrt_check_by_five_sigma(tmp_path, monkeypatch):
+    # At seed 9 the estimate sits 2.8 sigma below the target, outside its 95 %
+    # interval; a threshold 5 % too high moves it about 8 sigma.
+    out = tmp_path / "res"
+    assert main(["validate", "--seed", "9", "--out", str(out), "--workers", "2"]) == 0
+    right = cli.kelly_threshold
+    monkeypatch.setattr(cli, "kelly_threshold", lambda *args: 1.05 * right(*args))
+    assert main(["validate", "--seed", "9", "--out", str(out), "--workers", "2"]) == 2
+    checks = json.loads((out / "validate.json").read_text())["checks"]
+    assert [c["name"] for c in checks if not c["passed"]] == ["glrt_closed_form_cfar"]
 
 
 def test_validate_command_passes(tmp_path, capsys):

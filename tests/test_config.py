@@ -1,4 +1,4 @@
-"""Config schema, defaults, strictness, and canonical hashing."""
+"""Config key table, defaults, strictness, and canonical hashing."""
 
 import json
 
@@ -49,7 +49,7 @@ def test_normalize_does_not_mutate_input_or_defaults():
     ],
 )
 def test_unknown_keys_rejected(bad):
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="config invalid at "):
         normalize(bad)
 
 
@@ -68,10 +68,15 @@ def test_unknown_keys_rejected(bad):
         {"clairvoyant_c": [1.0, 0.0]},
         {"out_dir": ""},
         {"trials": {"calibration": 10}},
+        {"scenario": {"n": 16.5}},
+        {"n_draws": True},
+        {"scenario": []},
+        {"detectors": [{"kind": "kelly", "kappa": "2"}]},
+        {"scenario": {"cnr_db": 10**400}},
     ],
 )
 def test_schema_rejects_bad_values(bad):
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="config invalid at "):
         normalize(bad)
 
 
@@ -119,6 +124,31 @@ def test_wishart_dof_bound_follows_the_scenario_size(n, mismatch, ok):
             from_dict(user)
 
 
+def test_numbers_are_stored_as_their_field_type(tmp_path):
+    # 16.0 in an integer field is 16, and 20 in a float field is 20.0, so one
+    # experiment has one hash however its numbers are spelled.
+    cfg = from_dict({"scenario": {"n": 16.0, "cnr_db": 20}})
+    assert type(cfg.scenario.n) is int and cfg.scenario.n == 16
+    assert type(cfg.scenario.cnr_db) is float
+    assert config_hash(normalize({"seed": 7.0})) == config_hash(normalize({"seed": 7}))
+    assert config_hash(normalize({"scenario": {"n": 16.0, "cnr_db": 20}})) == config_hash(DEFAULTS)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"scenario": {"n": 16.0}, "detectors": [{"kind": "kelly"}],
+                                "pfa_target": 1e-2, "trials": {"calibration": 10_000}}))
+    assert main(["calibrate", "--config", str(path), "--out", str(tmp_path / "res"),
+                 "--workers", "1"]) == 0
+
+
+@pytest.mark.parametrize("bad", [{"scenario": {"n": 16.5}}, {"n_draws": True}, {"seed": 7.5}])
+def test_mistyped_integer_is_config_error_before_any_output(tmp_path, capsys, bad):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(bad))
+    out = tmp_path / "res"
+    assert main(["calibrate", "--config", str(path), "--out", str(out), "--workers", "1"]) == 1
+    assert "expected an integer" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_kalson_without_kappa_is_config_error():
     with pytest.raises(ConfigError, match="kappa"):
         from_dict({"detectors": [{"kind": "kalson"}]})
@@ -130,7 +160,7 @@ def test_kelly_with_kappa_is_config_error():
 
 
 def test_semantic_scenario_error_becomes_config_error():
-    # Passes the JSON schema (k >= 2) but violates k > n.
+    # Every value has its JSON type, but ScenarioCfg needs k >= n.
     with pytest.raises(ConfigError):
         from_dict({"scenario": {"n": 16, "k": 12}})
 

@@ -28,6 +28,8 @@ def test_spec_rejects_unknown_variant():
     {"m2": 1},
     {"pin_psi22": 0.0},
     {"pin_psi22": -2.0},
+    {"delta_db": float("nan")},
+    {"pin_psi22": float("nan")},
 ])
 def test_spec_rejects_bad_fields(kw):
     with pytest.raises(ValueError):
