@@ -135,7 +135,11 @@ def _load_cfg(args) -> RunConfig:
 
 
 def _print(msg: str) -> None:
-    print(msg, flush=True)
+    """Print a line; once stdout's reader is gone (``| head``), print to devnull."""
+    try:
+        print(msg, flush=True)
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
 def cmd_validate(cfg: RunConfig, workers: int, path: str, out: Path) -> int:

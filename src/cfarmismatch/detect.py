@@ -1,8 +1,9 @@
-"""Matrix-level reference path: draw (x, L), reduce to (s1, s2), score detectors.
+"""Matrix-level reference path: draw x and the packed sample-covariance factor,
+reduce to (s1, s2), score detectors.
 
-L is the Cholesky factor of the training sample covariance, drawn with x from
-their exact joint law, so this path is slow and trustworthy. The fast
-representation sampler is validated against it at the distribution level.
+x and the factor Gt A are drawn from their exact joint law, so this path is
+slow and trustworthy. The fast representation sampler is validated against it
+at the distribution level.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matkit import chol, solve_lower, solve_lower_stack
+from .matkit import chol, solve_lower
 from .randkit import _generator, standard_circular
 
 KINDS = ("kelly", "amf", "kalson")
@@ -44,12 +45,12 @@ def kalson(kappa: float) -> DetectorKind:
 
 def gen_data_batch(stream, sigma, sigma_t, alpha_abs, v, k, n_batch):
     """n_batch trials: x = alpha*v + noise(sigma), shape (n_batch, N), and the
-    Cholesky factor L = Gt A of the sample covariance of K training columns
-    from sigma_t = Gt Gt^H, shape (n_batch, N, N). By Bartlett's decomposition
-    (Goodman, Ann. Math. Stat. 1963), A is lower triangular with CN(0, 1)
-    entries below the diagonal and a_ii = sqrt(Gamma(K - i, 1)), i = 0..N-1.
-    Pinned draw order: test noise, then the strictly-lower entries of A in
-    ``np.tril_indices(N, -1)`` order, then the diagonal.
+    packed factor (Gt, off, diag) of the sample covariance Gt A (Gt A)^H of K
+    training columns from sigma_t = Gt Gt^H. By Bartlett's decomposition
+    (Goodman, Ann. Math. Stat. 1963) A is lower triangular: its CN(0, 1)
+    entries below the diagonal are ``off`` (n_batch, N(N-1)/2), in
+    ``np.tril_indices(N, -1)`` order, and ``diag`` (n_batch, N) holds
+    a_ii = sqrt(Gamma(K - i, 1)). Pinned draw order: test noise, off, diag.
     """
     alpha_abs = float(alpha_abs)
     if alpha_abs < 0:
@@ -62,12 +63,9 @@ def gen_data_batch(stream, sigma, sigma_t, alpha_abs, v, k, n_batch):
     gt = chol(sigma_t)
     u = standard_circular(rng, (n_batch, n))
     x = alpha_abs * v[None, :] + u @ gx.T
-    rows, cols = np.tril_indices(n, -1)
-    diag = np.arange(n)
-    a = np.zeros((n_batch, n, n), dtype=np.complex128)
-    a[:, rows, cols] = standard_circular(rng, (n_batch, rows.size))
-    a[:, diag, diag] = np.sqrt(rng.standard_gamma(k - diag, (n_batch, n)))
-    return x, gt @ a
+    off = standard_circular(rng, (n_batch, n * (n - 1) // 2))
+    diag = np.sqrt(rng.standard_gamma(k - np.arange(n), (n_batch, n)))
+    return x, (gt, off, diag)
 
 
 def raw_stats(x, xt, v):
@@ -87,11 +85,21 @@ def raw_stats(x, xt, v):
     return s1, s2
 
 
-def raw_stats_batch(x, l, v):
-    """Vectorized raw_stats over the leading axis from Cholesky factors l (m, N, N)."""
-    m, n, _ = l.shape
-    a = solve_lower_stack(l, x[:, :, None])[:, :, 0]
-    b = solve_lower_stack(l, np.broadcast_to(v[None, :, None], (m, n, 1)).copy())[:, :, 0]
+def raw_stats_batch(x, factor, v):
+    """Vectorized raw_stats from the packed factor of ``gen_data_batch``:
+    (Gt A)^-1 = A^-1 Gt^-1, so x and v are whitened by Gt once, then A is
+    forward-substituted row by row; row i, in row-major tril order, is the
+    contiguous ``off[:, i(i-1)/2 : i(i-1)/2 + i]``.
+    """
+    gt, off, diag = factor
+    xw = solve_lower(gt, x.T).T
+    vw = solve_lower(gt, v)
+    a, b = np.empty_like(xw), np.empty_like(xw)
+    for i in range(x.shape[1]):
+        s = i * (i - 1) // 2
+        row = off[:, s:s + i]
+        a[:, i] = (xw[:, i] - np.einsum("mj,mj->m", row, a[:, :i])) / diag[:, i]
+        b[:, i] = (vw[i] - np.einsum("mj,mj->m", row, b[:, :i])) / diag[:, i]
     s1 = np.einsum("mi,mi->m", a.conj(), a).real
     bb = np.einsum("mi,mi->m", b.conj(), b).real
     s2 = np.abs(np.einsum("mi,mi->m", a.conj(), b)) ** 2 / bb

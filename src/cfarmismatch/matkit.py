@@ -89,15 +89,3 @@ def solve_hpd(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def solve_lower(l: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Solve l @ x = b for lower-triangular l."""
     return linalg.solve_triangular(l, np.asarray(b, dtype=np.complex128), lower=True)
-
-
-def solve_lower_stack(l: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Forward substitution on a stack: l (m, n, n) lower, b (m, n, k)."""
-    n = l.shape[-1]
-    y = np.empty_like(b)
-    for i in range(n):
-        acc = b[:, i, :]
-        if i:
-            acc = acc - np.einsum("mj,mjk->mk", l[:, i, :i], y[:, :i, :])
-        y[:, i, :] = acc / l[:, i, i][:, None]
-    return y

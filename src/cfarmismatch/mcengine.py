@@ -200,9 +200,9 @@ def draw_pairs(stream, source, size: int):
     """
     if isinstance(source, RepSampler):
         return sample_pairs(stream, source, size)
-    x, l = gen_data_batch(stream, source.sigma, source.sigma_t, source.alpha_abs,
-                          source.v, source.k, size)
-    return pairs_from_raw(*raw_stats_batch(x, l, source.v))
+    x, factor = gen_data_batch(stream, source.sigma, source.sigma_t, source.alpha_abs,
+                               source.v, source.k, size)
+    return pairs_from_raw(*raw_stats_batch(x, factor, source.v))
 
 
 def _count_chunk(args):
@@ -262,7 +262,7 @@ def matched_exceedance(kind: DetectorKind, threshold: float, n: int, k: int,
     at m as a regularized incomplete beta. The terms m >= M, with
     M = min(L, ceil(x + 10 sqrt(x) + 30)) at the largest x, hold at most
     P(Pois(x) >= M) <= 1e-20 and are dropped, so time and memory stay
-    bounded in K.
+    bounded in K. The weights round like eps x log x, so P_d is clamped to 1.
     """
     big_l = k - n + 1
     beta, w = _beta_rule(n, k)
@@ -274,7 +274,7 @@ def matched_exceedance(kind: DetectorKind, threshold: float, n: int, k: int,
     m = np.arange(min(big_l, int(np.ceil(x_max + 10.0 * np.sqrt(x_max) + 30.0))))
     pois = np.exp(special.xlogy(m, x[:, None]) - x[:, None] - special.gammaln(m + 1))
     below = special.betainc(big_l - m, m + 1, (1.0 / (1.0 + y))[:, None])
-    return float(w @ (np.sum(pois * below, axis=1) + special.gammainc(big_l, x)))
+    return min(1.0, float(w @ (np.sum(pois * below, axis=1) + special.gammainc(big_l, x))))
 
 
 def _increasing_root(g, start: float) -> float:

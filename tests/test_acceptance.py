@@ -122,8 +122,8 @@ def test_criterion_03_two_route_equivalence(scn, sigma, steer):
             ci = 0
             while done < m:
                 size = min(chunk, m - done)
-                x, l = gen_data_batch(StreamKey(3106, (i, j, ci)), sigma, sigma_t, alpha, steer, K, size)
-                b2, t2 = pairs_from_raw(*raw_stats_batch(x, l, steer))
+                x, factor = gen_data_batch(StreamKey(3106, (i, j, ci)), sigma, sigma_t, alpha, steer, K, size)
+                b2, t2 = pairs_from_raw(*raw_stats_batch(x, factor, steer))
                 db.append(b2)
                 dt.append(t2)
                 done += size

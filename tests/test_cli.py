@@ -391,6 +391,22 @@ def test_thresholds_are_byte_identical_across_worker_counts(tmp_path):
     assert files[2] == files[0]
 
 
+def test_roc_direct_is_byte_identical_across_worker_counts(tmp_path):
+    cfg = {"seed": 919, "mismatch": {"variant": "inv_wishart", "delta_db": 6.0},
+           "detectors": [{"kind": "kelly"}, {"kind": "amf"}], "n_draws": 3,
+           "pfa_target": 1e-2, "pd_target": 0.5,
+           "trials": {"calibration": 10_000, "pfa": 5_000, "pd": 3_000}}
+    path = write_cfg(tmp_path, "cfg.json", cfg)
+    files = []
+    for workers in (1, 2, 3):
+        out = tmp_path / f"w{workers}"
+        assert main(["roc", "--config", path, "--out", str(out), "--path", "direct",
+                     "--workers", str(workers)]) == 0
+        files.append([(out / name).read_bytes() for name in ("roc.csv", "roc_summary.json")])
+    assert files[1] == files[0]
+    assert files[2] == files[0]
+
+
 def test_default_workers_follow_the_affinity_mask(tmp_path, monkeypatch):
     # One allowed CPU on a 64-CPU host: the default must not start a pool.
     def no_pool(*args, **kwargs):
@@ -411,6 +427,22 @@ def test_cli_import_leaves_scipy_stats_unloaded():
     res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env=env, check=True)
     assert res.stdout.strip() == "False False"
+
+
+def test_closed_stdout_does_not_stop_the_run(tmp_path):
+    # As `cfarmismatch validate ... | head -1`: the reader leaves after the
+    # first line, and the run must still finish and write its file.
+    out = tmp_path / "res"
+    env = {**os.environ, "PYTHONPATH": str(Path(cfarmismatch.__file__).parents[1])}
+    proc = subprocess.Popen([sys.executable, "-m", "cfarmismatch.cli", "validate", "--seed", "9",
+                             "--out", str(out), "--workers", "2"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env)
+    assert proc.stdout.readline().startswith("PASS glrt_closed_form_cfar")
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=300) == 0
+    assert "Traceback" not in err
+    assert json.loads((out / "validate.json").read_text())["checks"]
 
 
 @pytest.mark.parametrize("command", ["calibrate", "sweep", "roc"])

@@ -20,12 +20,35 @@ from cfarmismatch.randkit import StreamKey, standard_circular
 from cfarmismatch.scenario import ScenarioCfg, build_cov, build_steering, snr_to_alpha
 
 
+def dense_factor(factor, dtype=complex):
+    """The (m, N, N) factors Gt A, built from the packed rows of gen_data_batch."""
+    gt, off, diag = factor
+    m, n = diag.shape
+    a = np.zeros((m, n, n), dtype=dtype)
+    a[(slice(None),) + np.tril_indices(n, -1)] = off
+    a[:, np.arange(n), np.arange(n)] = diag
+    return gt.astype(dtype) @ a
+
+
+def extended_pairs(x, l, v):
+    """(beta, t_tilde) of one trial by forward substitution on the dense factor
+    l, in extended precision."""
+    rhs = np.stack([x, v]).astype(np.clongdouble)
+    y = np.zeros_like(rhs)
+    for i in range(len(v)):
+        y[:, i] = (rhs[:, i] - y[:, :i] @ l[i, :i]) / l[i, i]
+    a, b = y
+    s1 = np.vdot(a, a).real
+    s2 = abs(np.vdot(a, b)) ** 2 / np.vdot(b, b).real
+    return float(1 / (1 + s1 - s2)), float(s2 / (1 + s1 - s2))
+
+
 @pytest.fixture(scope="module")
 def one_draw(sigma, steer):
     """One test vector and sample-covariance factor under a fixed mismatch draw."""
     st, _ = gen_sigma_t(StreamKey(200), sigma, steer, MismatchSpec("inv_wishart", 6.0))
-    x, l = gen_data_batch(StreamKey(201), sigma, st, 1.5, steer, 32, 1)
-    return st, x[0], l[0]
+    x, factor = gen_data_batch(StreamKey(201), sigma, st, 1.5, steer, 32, 1)
+    return st, x[0], dense_factor(factor)[0]
 
 
 def test_detector_kind_validation():
@@ -114,12 +137,34 @@ def test_raw_stats_two_route(one_draw, steer):
 
 def test_raw_stats_batch_matches_scalar(one_draw, sigma, steer):
     st, _, _ = one_draw
-    x, l = gen_data_batch(StreamKey(202), sigma, st, 0.7, steer, 32, 32)
-    s1, s2 = raw_stats_batch(x, l, steer)
+    x, factor = gen_data_batch(StreamKey(202), sigma, st, 0.7, steer, 32, 32)
+    s1, s2 = raw_stats_batch(x, factor, steer)
+    l = dense_factor(factor)
     for i in range(32):
         a, b = raw_stats(x[i], l[i], steer)
         assert abs(s1[i] - a) < 1e-12 * a
         assert abs(s2[i] - b) < 1e-12 * max(b, 1e-30)
+
+
+@pytest.mark.parametrize("n,k,cnr_db,rho1,variant", [
+    (16, 32, 20.0, 0.95, "inv_wishart"),
+    (64, 128, 60.0, 0.999, "identity"),  # cond(sigma) about 4e7
+])
+def test_packed_chunk_matches_extended_precision_pairs(n, k, cnr_db, rho1, variant):
+    scn = ScenarioCfg(n=n, k=k, cnr_db=cnr_db, rho1=rho1)
+    sigma, steer = build_cov(scn), build_steering(n, scn.fd)
+    st, _ = gen_sigma_t(StreamKey(216), sigma, steer, MismatchSpec(variant, 6.0))
+    x, factor = gen_data_batch(StreamKey(217), sigma, st, 0.9, steer, k, 64)
+    beta, t = pairs_from_raw(*raw_stats_batch(x, factor, steer))
+    # Extended precision: raw_stats re-factors l l^H, which alone put t_tilde
+    # off a 50-digit value by up to 1.6e-12 (N=16) and 1.2e-8 (N=64) here.
+    l = dense_factor(factor, np.clongdouble)
+    for i in range(64):
+        b_ref, t_ref = extended_pairs(x[i], l[i], steer)
+        assert abs(beta[i] - b_ref) <= 1e-12 * b_ref
+        # t_tilde = |a^H b|^2 / (|b|^2 (1 + s1 - s2)) cancels when a is nearly
+        # orthogonal to b; bound its error on the scale s1 beta = t_tilde + 1 - beta.
+        assert abs(t[i] - t_ref) <= 1e-12 * (t_ref + 1.0 - b_ref)
 
 
 def test_phase_rotation_invariance_quarter_turns(one_draw, steer):
@@ -160,7 +205,21 @@ def test_general_scaling_invariance(one_draw, steer):
 def test_gen_data_is_stream_deterministic(sigma, steer):
     a = gen_data_batch(StreamKey(203), sigma, sigma, 0.5, steer, 32, 1)
     b = gen_data_batch(StreamKey(203), sigma, sigma, 0.5, steer, 32, 1)
-    assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
+    assert np.array_equal(a[0], b[0])
+    assert all(np.array_equal(p, q) for p, q in zip(a[1], b[1]))
+
+
+def test_gen_data_draws_in_the_pinned_order(one_draw, sigma, steer):
+    # Test noise, then the strictly-lower normals, then the diagonal gammas.
+    st, _, _ = one_draw
+    alpha, m = 1.3, 8
+    x, (gt, off, diag) = gen_data_batch(StreamKey(218), sigma, st, alpha, steer, 32, m)
+    rng = StreamKey(218).generator()
+    u = standard_circular(rng, (m, 16))
+    assert np.array_equal(x, alpha * steer[None, :] + u @ chol(sigma).T)
+    assert np.array_equal(gt, chol(st))
+    assert np.array_equal(off, standard_circular(rng, (m, 120)))
+    assert np.array_equal(diag, np.sqrt(rng.standard_gamma(32 - np.arange(16), (m, 16))))
 
 
 def test_gen_data_rejects_bad_arguments(sigma, steer):
@@ -186,7 +245,8 @@ def test_gen_data_signal_mean(sigma, steer):
 def test_training_sample_covariance(sigma, steer):
     st, _ = gen_sigma_t(StreamKey(207), sigma, steer, MismatchSpec("eig_jitter", 6.0))
     n_cols = 100_000
-    _, l = gen_data_batch(StreamKey(208), sigma, st, 0.0, steer, 32, n_cols // 32)
+    _, factor = gen_data_batch(StreamKey(208), sigma, st, 0.0, steer, 32, n_cols // 32)
+    l = dense_factor(factor)
     scov = np.mean(l @ l.conj().transpose(0, 2, 1), axis=0) / 32
     assert np.abs(scov - st).max() < 0.05 * np.abs(np.diag(st)).max()
 
@@ -195,7 +255,8 @@ def test_training_sample_covariance(sigma, steer):
 def test_bartlett_factor_is_the_cholesky_factor(n, k):
     scn = ScenarioCfg(n=n, k=k)
     sigma = build_cov(scn)
-    _, l = gen_data_batch(StreamKey(211), sigma, sigma, 0.0, build_steering(n, scn.fd), k, 256)
+    _, factor = gen_data_batch(StreamKey(211), sigma, sigma, 0.0, build_steering(n, scn.fd), k, 256)
+    l = dense_factor(factor)
     assert np.all(np.triu(l, 1) == 0.0)
     diag = np.diagonal(l, axis1=1, axis2=2)
     assert np.all(diag.imag == 0.0) and np.all(diag.real > 0.0)
@@ -233,8 +294,8 @@ def test_matched_unit_covariance_mean_stats():
     root = StreamKey(209)
     while done < n_tr:
         m = min(4096, n_tr - done)
-        x, l = gen_data_batch(root.child(ci), eye, eye, 0.0, e1, 32, m)
-        s1, _ = raw_stats_batch(x, l, e1)
+        x, factor = gen_data_batch(root.child(ci), eye, eye, 0.0, e1, 32, m)
+        s1, _ = raw_stats_batch(x, factor, e1)
         s1_acc += float(s1.sum())
         done += m
         ci += 1
@@ -248,8 +309,8 @@ def test_matched_direct_path_moments(sigma, steer):
     beta_acc, t_acc = 0.0, 0.0
     while done < n_tr:
         m = min(4096, n_tr - done)
-        x, l = gen_data_batch(root.child(ci), sigma, sigma, 0.0, steer, 32, m)
-        beta, t = pairs_from_raw(*raw_stats_batch(x, l, steer))
+        x, factor = gen_data_batch(root.child(ci), sigma, sigma, 0.0, steer, 32, m)
+        beta, t = pairs_from_raw(*raw_stats_batch(x, factor, steer))
         beta_acc += float(beta.sum())
         t_acc += float(t.sum())
         done += m

@@ -10,7 +10,6 @@ from cfarmismatch.matkit import (
     ortho_complement,
     solve_hpd,
     solve_lower,
-    solve_lower_stack,
 )
 
 
@@ -134,14 +133,3 @@ def test_solve_lower_matches_scipy(rand_hpd):
     rng = np.random.default_rng(18)
     b = rng.standard_normal((5, 3)) + 1j * rng.standard_normal((5, 3))
     assert np.abs(solve_lower(l, b) - sla.solve_triangular(l, b, lower=True)).max() < 1e-13
-
-
-def test_solve_lower_stack_matches_loop(rand_hpd):
-    rng = np.random.default_rng(31)
-    mats = np.stack([rand_hpd(4, seed=40 + i) for i in range(5)])
-    ls = np.stack([chol(a) for a in mats])
-    b = rng.standard_normal((5, 4, 2)) + 1j * rng.standard_normal((5, 4, 2))
-    out = solve_lower_stack(ls, b)
-    for i in range(5):
-        ref = sla.solve_triangular(ls[i], b[i], lower=True)
-        assert np.abs(out[i] - ref).max() < 1e-12

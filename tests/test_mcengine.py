@@ -134,6 +134,14 @@ def test_blocked_detection_sum_matches_full_sum(k):
         assert matched_exceedance(AMF, eta, N, k, snr) == pytest.approx(full, rel=1e-12), snr
 
 
+
+def test_detection_probability_is_at_most_one():
+    # Unclamped, the Poisson weights' rounding gave Kelly 1 + 1.9e-14 and
+    # AMF 1 + 1.6e-14 here.
+    for kind in (KELLY, AMF):
+        eta = calibrate_threshold(kind, N, 527, 1e-3)
+        assert 1.0 - 1e-12 < matched_exceedance(kind, eta, N, 527, 100.0) <= 1.0
+
 def test_detection_memory_is_bounded_in_training_size():
     eta = calibrate_threshold(AMF, N, 5015, 1e-2)
     tracemalloc.start()

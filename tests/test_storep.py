@@ -136,8 +136,8 @@ def test_fast_path_matches_direct_path(sigma, steer, alpha):
     done, ci = 0, 0
     while done < n_s:
         m = min(2048, n_s - done)
-        x, l = gen_data_batch(root.child(ci), sigma, st, alpha, steer, K, m)
-        b, t = pairs_from_raw(*raw_stats_batch(x, l, steer))
+        x, factor = gen_data_batch(root.child(ci), sigma, st, alpha, steer, K, m)
+        b, t = pairs_from_raw(*raw_stats_batch(x, factor, steer))
         parts_b.append(b)
         parts_t.append(t)
         done += m
