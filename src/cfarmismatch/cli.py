@@ -298,7 +298,7 @@ def _summarize(res) -> dict:
 def _finish_sweep(res, out: Path, name: str, meta: dict, head: dict, summary: dict) -> int:
     """Write ``<name>.csv`` and ``<name>_summary.json``, report failed draws,
     and return the exit code."""
-    write_csv(out / f"{name}.csv", SWEEP_FIELDS, [dataclasses.asdict(row) for row in res.rows], meta)
+    write_csv(out / f"{name}.csv", SWEEP_FIELDS, [vars(row) for row in res.rows], meta)
     write_json(out / f"{name}_summary.json", {
         **head,
         "summary": summary,

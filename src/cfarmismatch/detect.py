@@ -73,10 +73,12 @@ def raw_stats(x, xt, v):
 
     ``xt`` is the N x K training data or any factor of their sample
     covariance, since only xt xt^H is used. Scalar LAPACK route, kept as the
-    independent reference that ``raw_stats_batch`` is tested against.
+    independent reference that ``raw_stats_batch`` is tested against. The
+    factor l = R^H, from the QR factorization xt^H = Q R, has l l^H = xt xt^H
+    without forming that product, which would square the condition number;
+    the phases on R's diagonal change neither s1 nor s2.
     """
-    st = xt @ xt.conj().T
-    l = chol(0.5 * (st + st.conj().T))
+    l = np.linalg.qr(xt.conj().T, mode="r").conj().T
     a = solve_lower(l, x)
     b = solve_lower(l, v)
     s1 = float(np.vdot(a, a).real)

@@ -9,11 +9,12 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize, special
+from scipy import special
 
 from .detect import DetectorKind, gen_data_batch, kalson, pairs_from_raw, raw_stats_batch, stat_values
 from .mismatch import MismatchSpec, gen_sigma_t, omega_decompose
@@ -277,14 +278,71 @@ def matched_exceedance(kind: DetectorKind, threshold: float, n: int, k: int,
     return min(1.0, float(w @ (np.sum(pois * below, axis=1) + special.gammainc(big_l, x))))
 
 
+def _brent(f, xa: float, xb: float, xtol: float, rtol: float, maxiter: int = 100) -> float:
+    """Root of f on [xa, xb] by Brent's method (Algorithms for Minimization
+    without Derivatives, 1973), ported line for line from scipy's brentq.c,
+    so it returns the same bits as ``scipy.optimize.brentq``: inverse
+    quadratic or secant steps, bisection when a step is too long, stop when
+    the half bracket is below (xtol + rtol |x|) / 2. An endpoint where f is 0
+    is returned; f(xa), f(xb) with one sign bit or any NaN value of f raise
+    ValueError, and no convergence in ``maxiter`` steps raises RuntimeError.
+    """
+    def value(x):
+        fx = f(x)
+        if math.isnan(fx):
+            raise ValueError(f"the function value at x={x} is NaN")
+        return fx
+
+    xpre, xcur = float(xa), float(xb)
+    xblk = fblk = spre = scur = 0.0
+    fpre, fcur = value(xpre), value(xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise ValueError("f(xa) and f(xb) must have different signs")
+    for _ in range(maxiter):
+        if fpre != 0.0 and fcur != 0.0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2.0
+        sbis = (xblk - xcur) / 2.0
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - delta):
+                spre, scur = scur, stry  # good short step
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = value(xcur)
+    raise RuntimeError(f"failed to converge after {maxiter} iterations, value is {xcur}")
+
+
 def _increasing_root(g, start: float) -> float:
-    """Root of g, increasing on [0, inf) with g(0) < 0; the bracket grows 4x from ``start``."""
+    """Root of g, increasing on [0, inf) with g(0) < 0. The bracket [0, start]
+    grows 4x until g(hi) >= 0; ``_brent`` then solves it to a few ulps (xtol
+    1e-300 and rtol 4 eps, the smallest that brentq accepts).
+    """
     lo, hi = 0.0, start
     while g(hi) < 0.0:
         if hi > 1e300:
             raise ValueError("target is out of reach in floating point")
         lo, hi = hi, 4.0 * hi
-    return float(optimize.brentq(g, lo, hi, xtol=1e-300, rtol=4.0 * np.finfo(float).eps))
+    return _brent(g, lo, hi, xtol=1e-300, rtol=4.0 * np.finfo(float).eps)
 
 
 def calibrate_threshold(kind: DetectorKind, n: int, k: int, pfa_target: float) -> float:

@@ -7,8 +7,8 @@ SVG output is a self-contained polyline/scatter plot; no plotting library.
 
 from __future__ import annotations
 
+import html
 import json
-from xml.sax.saxutils import escape
 
 import numpy as np
 
@@ -19,6 +19,11 @@ _PALETTE = (
 
 # SVG canvas size in pixels.
 _WIDTH, _HEIGHT = 720, 480
+
+
+def _escape(text: str) -> str:
+    """Escape &, < and > for SVG text; quotes are left as they are."""
+    return html.escape(text, quote=False)
 
 
 def fmt_value(val) -> str:
@@ -114,9 +119,9 @@ def svg_plot(path, series, title: str, xlabel: str, ylabel: str, meta: dict,
     out = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" height="{_HEIGHT}" '
         f'viewBox="0 0 {_WIDTH} {_HEIGHT}" font-family="sans-serif" font-size="12">',
-        f"<desc>{escape(json.dumps(meta, sort_keys=True))}</desc>",
+        f"<desc>{_escape(json.dumps(meta, sort_keys=True))}</desc>",
         f'<rect width="{_WIDTH}" height="{_HEIGHT}" fill="#ffffff"/>',
-        f'<text x="{_WIDTH / 2:.1f}" y="22" text-anchor="middle" font-size="15">{escape(title)}</text>',
+        f'<text x="{_WIDTH / 2:.1f}" y="22" text-anchor="middle" font-size="15">{_escape(title)}</text>',
         f'<line x1="{ml}" y1="{mt + ph}" x2="{ml + pw}" y2="{mt + ph}" stroke="#222"/>',
         f'<line x1="{ml}" y1="{mt}" x2="{ml}" y2="{mt + ph}" stroke="#222"/>',
     ]
@@ -129,11 +134,11 @@ def svg_plot(path, series, title: str, xlabel: str, ylabel: str, meta: dict,
         out.append(f'<line x1="{ml - 5}" y1="{py(t):.1f}" x2="{ml}" y2="{py(t):.1f}" stroke="#222"/>')
         out.append(f'<text x="{ml - 8}" y="{py(t) + 4:.1f}" text-anchor="end">{t:.4g}</text>')
     out.append(
-        f'<text x="{ml + pw / 2:.1f}" y="{_HEIGHT - 10}" text-anchor="middle">{escape(xlabel)}</text>'
+        f'<text x="{ml + pw / 2:.1f}" y="{_HEIGHT - 10}" text-anchor="middle">{_escape(xlabel)}</text>'
     )
     out.append(
         f'<text x="16" y="{mt + ph / 2:.1f}" text-anchor="middle" '
-        f'transform="rotate(-90 16 {mt + ph / 2:.1f})">{escape(ylabel)}</text>'
+        f'transform="rotate(-90 16 {mt + ph / 2:.1f})">{_escape(ylabel)}</text>'
     )
     for i, (label, sx, sy) in enumerate(series):
         color = _PALETTE[i % len(_PALETTE)]
@@ -153,7 +158,7 @@ def svg_plot(path, series, title: str, xlabel: str, ylabel: str, meta: dict,
         ly = mt + 16 + 18 * i
         lx = ml + pw + 12
         out.append(f'<line x1="{lx}" y1="{ly - 4}" x2="{lx + 22}" y2="{ly - 4}" stroke="{color}" stroke-width="3"/>')
-        out.append(f'<text x="{lx + 28}" y="{ly}">{escape(str(label))}</text>')
+        out.append(f'<text x="{lx + 28}" y="{ly}">{_escape(str(label))}</text>')
     out.append("</svg>")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(out) + "\n")

@@ -146,6 +146,22 @@ def test_raw_stats_batch_matches_scalar(one_draw, sigma, steer):
         assert abs(s2[i] - b) < 1e-12 * max(b, 1e-30)
 
 
+def test_raw_stats_batch_matches_scalar_when_ill_conditioned():
+    # cond(sigma) about 4e7: a reference that factors l l^H again squares it.
+    scn = ScenarioCfg(n=64, k=128, cnr_db=60.0, rho1=0.999)
+    sigma, steer = build_cov(scn), build_steering(64, scn.fd)
+    x, factor = gen_data_batch(StreamKey(218), sigma, sigma, 0.9, steer, 128, 12)
+    s1, s2 = raw_stats_batch(x, factor, steer)
+    beta, _ = pairs_from_raw(s1, s2)
+    l = dense_factor(factor)
+    for i in range(12):
+        a, b = raw_stats(x[i], l[i], steer)
+        beta_ref, _ = pairs_from_raw(a, b)
+        assert abs(beta[i] - beta_ref) <= 1e-12 * beta_ref
+        # s2 cancels when x is nearly orthogonal to v; hold it on the scale of s1.
+        assert abs(s2[i] - b) <= 1e-12 * a
+
+
 @pytest.mark.parametrize("n,k,cnr_db,rho1,variant", [
     (16, 32, 20.0, 0.95, "inv_wishart"),
     (64, 128, 60.0, 0.999, "identity"),  # cond(sigma) about 4e7

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import re
 import tracemalloc
 
@@ -174,6 +175,56 @@ def test_calibrate_snr_meets_target_exactly(kind, pd):
 def test_calibrate_snr_rejects_target_below_false_alarm():
     with pytest.raises(ValueError, match="not above the false-alarm"):
         calibrate_snr(AMF, calibrate_threshold(AMF, N, K, 1e-2), N, K, 5e-3)
+
+
+ROOT_GRID_NK = [(2, 2), (2, 5), (16, 16), (16, 32), (64, 128), (16, 527)]
+ROOT_GRID_KINDS = [AMF, kalson(0.5), kalson(2.0)]
+ROOT_GRID_PFA = [1e-2, 1e-3, 1e-6]
+
+
+def _calibration_roots():
+    """Every threshold of the grid, and the matched SNRs at P_d 0.5, 0.7 and
+    0.9; at the two largest (N, K), where one SNR root costs the most, only
+    at P_fa 1e-3."""
+    roots = {}
+    for (n, k), kind, pfa in itertools.product(ROOT_GRID_NK, ROOT_GRID_KINDS, ROOT_GRID_PFA):
+        eta = roots[n, k, kind, pfa] = calibrate_threshold(kind, n, k, pfa)
+        if k < 128 or pfa == 1e-3:
+            for pd in (0.5, 0.7, 0.9):
+                roots[n, k, kind, pfa, pd] = calibrate_snr(kind, eta, n, k, pd)
+    return roots
+
+
+def test_calibration_roots_are_those_of_scipy_brentq(monkeypatch):
+    from scipy.optimize import brentq  # tests only; the CLI never imports scipy.optimize
+
+    port = _calibration_roots()
+    monkeypatch.setattr(mcengine, "_brent", lambda f, xa, xb, xtol, rtol:
+                        brentq(f, xa, xb, xtol=xtol, rtol=rtol))
+    reference = _calibration_roots()
+    assert len(port) == 54 + 126
+    assert {key: val for key, val in port.items() if val != reference[key]} == {}
+
+
+def test_brent_returns_an_endpoint_where_f_is_zero():
+    assert mcengine._brent(lambda x: x - 0.25, 0.25, 1.0, 1e-300, 1e-15) == 0.25
+    assert mcengine._brent(lambda x: x - 1.0, 0.25, 1.0, 1e-300, 1e-15) == 1.0
+    assert mcengine._brent(lambda x: x - 0.3, 0.0, 1.0, 1e-300, 1e-15) not in (0.0, 1.0)
+
+
+def test_brent_rejects_a_nan_value():
+    with pytest.raises(ValueError, match="NaN"):
+        mcengine._brent(lambda x: float("nan"), 0.0, 1.0, 1e-300, 1e-15)
+    with pytest.raises(ValueError, match="NaN"):
+        mcengine._brent(lambda x: x - 0.3 if x in (0.0, 1.0) else float("nan"),
+                        0.0, 1.0, 1e-300, 1e-15)
+    with pytest.raises(ValueError, match="different signs"):
+        mcengine._brent(lambda x: x + 1.0, 0.0, 1.0, 1e-300, 1e-15)
+
+
+def test_brent_stops_after_maxiter():
+    with pytest.raises(RuntimeError, match="1 iterations"):
+        mcengine._brent(lambda x: x - 0.3, 0.0, 1.0, 1e-300, 1e-15, maxiter=1)
 
 
 def test_calibrate_entry_rejects_a_wrong_threshold(monkeypatch):

@@ -143,6 +143,16 @@ def test_svg_escapes_markup_in_labels(tmp_path):
     assert 't & "q"' in texts
 
 
+def test_svg_escapes_only_ampersand_and_angle_brackets(tmp_path):
+    # Quotes stay as they are, so the <desc> JSON and titles keep their bytes.
+    path = tmp_path / "plot.svg"
+    svg_plot(path, [("a<b", [0, 1], [0, 1])], 't & "q\'', "x<y", "y>z", {"k": "<&>"})
+    text = path.read_text(encoding="utf-8")
+    assert '<desc>{"k": "&lt;&amp;&gt;"}</desc>' in text
+    assert '>t &amp; "q\'</text>' in text
+    assert ">a&lt;b</text>" in text and ">x&lt;y</text>" in text and ">y&gt;z</text>" in text
+
+
 def test_svg_rejects_empty_and_all_nan(tmp_path):
     with pytest.raises(ValueError, match="at least one series"):
         svg_plot(tmp_path / "a.svg", [], "t", "x", "y", {})
