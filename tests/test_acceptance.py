@@ -24,6 +24,7 @@ from cfarmismatch.mcengine import (
     ks_stat,
     nomismatch_sampler,
     sweep,
+    within_five_sigma,
 )
 from cfarmismatch.mismatch import MismatchSpec, check_ger, gen_sigma_t, omega_decompose
 from cfarmismatch.randkit import StreamKey, beta_cdf, cf1_survival
@@ -176,20 +177,22 @@ def test_criterion_05_gain_ratio_identity(sigma, steer, rand_hpd):
 
 
 def test_criterion_06_pinned_gain_exact_cfar(sigma, steer):
+    # Ten 95 % intervals all cover the target with probability 0.95**10 = 0.6
+    # only, so each draw and the pooled count are held to five sigmas instead.
     mspec = MismatchSpec("ger_chol", 6.0, pin_psi22=1.0)
-    lo_all, hi_all = [], []
-    ok = True
+    counts = []
     for d in range(10):
         sigma_t, meta = gen_sigma_t(StreamKey(3110, (d,)), sigma, steer, mspec)
         assert meta["psi22"] == 1.0
         sampler = make_sampler(sigma, sigma_t, steer, 0.0, K)
-        count = count_exceedances(StreamKey(3111, (d,)), KELLY, ETA3, sampler, 1_000_000, workers=3)
-        est = PfaEstimate.from_counts(count, 1_000_000)
-        lo_all.append(est.ci_lo)
-        hi_all.append(est.ci_hi)
-        ok = ok and est.ci_lo <= 1e-3 <= est.ci_hi
-    _line(6, ok, f"10 draws x 1e6 trials, ci_lo max={max(lo_all):.4e} ci_hi min={min(hi_all):.4e}, "
-                 f"all contain 1e-3")
+        counts.append(count_exceedances(StreamKey(3111, (d,)), KELLY, ETA3, sampler, 1_000_000,
+                                        workers=3))
+    pooled = sum(counts)
+    z = (pooled - 1e4) / np.sqrt(1e4 * (1.0 - 1e-3))
+    ok = (all(within_five_sigma(c, 1_000_000, 1e-3) for c in counts)
+          and within_five_sigma(pooled, 10_000_000, 1e-3))
+    _line(6, ok, f"10 draws x 1e6 trials, counts in [{min(counts)}, {max(counts)}] (5 sigma: 1000 +/- 158), "
+                 f"pooled {pooled} in 1e7, z={z:+.2f}")
 
 
 def test_criterion_07_gain_aware_statistic_under_enforced_collinearity(sigma, steer):
