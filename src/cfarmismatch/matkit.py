@@ -16,11 +16,12 @@ HERMITIAN_TOL = 1e-12
 
 
 class NotPositiveDefiniteError(ValueError):
-    """Cholesky pivot failure; ``pivot`` is the 1-based index that broke."""
+    """Positive-definiteness failure; ``pivot`` is the 1-based index of the
+    Cholesky pivot, or of the ascending eigenvalue, that is not positive."""
 
-    def __init__(self, pivot: int):
+    def __init__(self, pivot: int, what: str = "pivot"):
         self.pivot = pivot
-        super().__init__(f"matrix is not positive definite (pivot {pivot} <= 0)")
+        super().__init__(f"matrix is not positive definite ({what} {pivot} <= 0)")
 
 
 def hermitian_part(a: np.ndarray) -> np.ndarray:

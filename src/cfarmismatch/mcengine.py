@@ -8,6 +8,7 @@ exceedance counts, so results are bitwise identical for any worker count.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import math
 from concurrent.futures import ProcessPoolExecutor
@@ -135,14 +136,7 @@ class SweepResult:
 
 def nomismatch_sampler(n: int, k: int) -> RepSampler:
     """Sampler state for the matched case: unit block, zero cross row, unit gain."""
-    return RepSampler(
-        n=n,
-        k=k,
-        l11=np.eye(n - 1, dtype=np.complex128),
-        w=np.zeros(n - 1, dtype=np.complex128),
-        r=1.0,
-        gamma_t=0.0,
-    )
+    return RepSampler(n=n, k=k, lam=np.ones(n - 1), b=0.0, r=1.0, gamma_t=0.0)
 
 
 def kelly_threshold(pfa_target: float, n: int, k: int) -> float:
@@ -335,8 +329,10 @@ def _brent(f, xa: float, xb: float, xtol: float, rtol: float, maxiter: int = 100
 def _increasing_root(g, start: float) -> float:
     """Root of g, increasing on [0, inf) with g(0) < 0. The bracket [0, start]
     grows 4x until g(hi) >= 0; ``_brent`` then solves it to a few ulps (xtol
-    1e-300 and rtol 4 eps, the smallest that brentq accepts).
+    1e-300 and rtol 4 eps, the smallest that brentq accepts). g's values are
+    kept, so bracket ends found while growing are not evaluated again.
     """
+    g = functools.cache(g)
     lo, hi = 0.0, start
     while g(hi) < 0.0:
         if hi > 1e300:
@@ -444,7 +440,7 @@ def _sweep_draw(args):
         n, k = scenario.n, scenario.k
         sigma_t, meta = gen_sigma_t(draw_stream.child(_PURPOSE_SIGMA_T), sigma, v, mspec)
         om = omega_decompose(sigma, sigma_t, v)
-        base = RepSampler(n=n, k=k, l11=om.omega11_factor, w=om.w, r=om.schur, gamma_t=0.0)
+        base = RepSampler(n=n, k=k, lam=om.lam, b=om.b, r=om.schur, gamma_t=0.0)
         digest = meta_digest(meta, om.schur)
 
         def source(alpha_abs):

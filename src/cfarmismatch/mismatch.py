@@ -4,8 +4,8 @@ Five ways of generating a training covariance from the test-cell covariance:
 exact match, an inverse-Wishart perturbation, eigenvalue jitter, and one
 variant of each that enforces the eigenrelation inv(St) v = lam * inv(S) v
 (so the whitened cross block vanishes). ``omega_decompose`` extracts the
-geometry (leading-block factor, cross row, Schur complement) that drives the
-fast pair sampler.
+geometry (leading-block eigenvalues, cross row in their eigenbasis, Schur
+complement) that drives the fast pair sampler.
 """
 
 from __future__ import annotations
@@ -13,9 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import linalg
 
 from .matkit import (
+    NotPositiveDefiniteError,
     chol,
     check_hermitian,
     heig,
@@ -71,15 +71,17 @@ class GerReport:
 class OmegaSummary:
     """Whitened-and-rotated geometry of a (sigma, sigma_t) pair.
 
-    ``omega11_factor`` is the lower Cholesky factor of the leading (N-1)
-    block, ``w`` the row mapping the leading whitened coordinates into the
-    test coordinate (scalar contribution = w @ x1, plain dot), ``schur`` the
-    Schur complement of that block, checked against its independent form
-    v^H inv(St) v / v^H inv(S) v, and ``vt_quad`` = v^H inv(St) v.
+    ``lam`` holds the eigenvalues of the leading (N-1) block Omega11 =
+    V diag(lam) V^H, ascending. ``b`` is the cross row in that eigenbasis,
+    scaled so that the test-coordinate contribution of x1 = V sqrt(lam) u is
+    b @ u (plain dot): b = (w @ V) * sqrt(lam), with w the row Omega12^H
+    inv(Omega11), so ||b||^2 = Omega12^H inv(Omega11) Omega12. ``schur`` is
+    the Schur complement Omega22 - ||b||^2, checked against its independent
+    form v^H inv(St) v / v^H inv(S) v, and ``vt_quad`` = v^H inv(St) v.
     """
 
-    omega11_factor: np.ndarray
-    w: np.ndarray
+    lam: np.ndarray
+    b: np.ndarray
     schur: float
     vt_quad: float
 
@@ -182,8 +184,10 @@ def check_ger(sigma: np.ndarray, sigma_t: np.ndarray, v: np.ndarray) -> GerRepor
     return GerReport(residual=residual, lambda_ger=float(coef.real), holds=residual < 1e-8)
 
 
-def omega_decompose(sigma: np.ndarray, sigma_t: np.ndarray, v: np.ndarray) -> OmegaSummary:
-    """Whiten by the training covariance, rotate the whitened v onto the last axis, partition."""
+def _rotated_omega(sigma: np.ndarray, sigma_t: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, float]:
+    """Omega = Q^H inv(Gt) sigma inv(Gt)^H Q, with Gt the Cholesky factor of
+    sigma_t and Q unitary, sending the whitened v onto the last axis; plus
+    v^H inv(sigma_t) v."""
     sigma = check_hermitian(sigma, what="sigma")
     sigma_t = check_hermitian(sigma_t, what="sigma_t")
     n = sigma.shape[0]
@@ -200,22 +204,22 @@ def omega_decompose(sigma: np.ndarray, sigma_t: np.ndarray, v: np.ndarray) -> Om
         raise RuntimeError(f"rotation lost unitarity (residual {gram_err:.3e}); construction bug")
 
     m = np.linalg.solve(gt, np.linalg.solve(gt, sigma).conj().T)
-    omega = hermitian_part(q.conj().T @ m @ q)
+    return hermitian_part(q.conj().T @ m @ q), vt_quad
 
-    omega11 = omega[: n - 1, : n - 1]
-    omega12 = omega[: n - 1, n - 1]
-    f = chol(omega11)
-    w = linalg.cho_solve((f, True), omega12).conj()  # row convention: scalar = w @ x1
-    schur = float((omega[n - 1, n - 1] - w @ omega12).real)
+
+def omega_decompose(sigma: np.ndarray, sigma_t: np.ndarray, v: np.ndarray) -> OmegaSummary:
+    """Whiten by the training covariance, rotate the whitened v onto the last
+    axis, partition, and diagonalize the leading block."""
+    omega, vt_quad = _rotated_omega(sigma, sigma_t, v)
+    lam, vecs = np.linalg.eigh(omega[:-1, :-1])
+    if not lam[0] > 0:
+        raise NotPositiveDefiniteError(1, what="eigenvalue")
+    b = (omega[:-1, -1].conj() @ vecs) / np.sqrt(lam)
+    schur = float(omega[-1, -1].real - np.vdot(b, b).real)
 
     ratio = vt_quad / float(np.vdot(v, solve_hpd(sigma, v)).real)
     if abs(schur - ratio) > 1e-6 * ratio:
         raise RuntimeError(
             f"Schur complement {schur!r} disagrees with quadratic-form ratio {ratio!r}"
         )
-    return OmegaSummary(
-        omega11_factor=f,
-        w=w,
-        schur=schur,
-        vt_quad=vt_quad,
-    )
+    return OmegaSummary(lam=lam, b=b, schur=schur, vt_quad=vt_quad)

@@ -22,22 +22,29 @@ from .randkit import _generator, standard_circular
 class RepSampler:
     """Frozen per-(sigma, sigma_t, alpha) state driving the pair sampler.
 
-    ``l11`` is a factor with l11 @ l11^H equal to the leading whitened
-    block, ``w`` the cross row (scalar contribution = w @ x1, plain dot),
-    ``r`` the Schur complement, and ``gamma_t`` = |alpha|^2 v^H inv(sigma_t) v.
-    Immutable, shareable across workers.
+    ``lam`` holds the eigenvalues of the leading whitened block, ``b`` the
+    cross row in its eigenbasis (scalar contribution = b @ u for the
+    standard circular u with x1 = V sqrt(lam) u; a scalar broadcasts, so
+    b=0 gives the collinear-gain case), ``r`` the Schur complement, and
+    ``gamma_t`` = |alpha|^2 v^H inv(sigma_t) v. Immutable, shareable across
+    workers.
     """
 
     n: int
     k: int
-    l11: np.ndarray
-    w: np.ndarray
+    lam: np.ndarray
+    b: np.ndarray
     r: float
     gamma_t: float
 
     def __post_init__(self):
         if self.n < 2 or self.k < self.n:
             raise ValueError(f"need K >= N >= 2, got N={self.n}, K={self.k}")
+        lam = np.asarray(self.lam, dtype=float)
+        if lam.shape != (self.n - 1,) or not np.all(lam > 0):
+            raise ValueError(f"lam must be {self.n - 1} positive reals")
+        object.__setattr__(self, "lam", lam)
+        object.__setattr__(self, "b", np.broadcast_to(np.asarray(self.b, dtype=np.complex128), lam.shape))
         if not self.r > 0:
             raise ValueError(f"Schur complement must be positive, got {self.r}")
         if self.gamma_t < 0:
@@ -54,8 +61,8 @@ def make_sampler(sigma, sigma_t, v, alpha_abs, k) -> RepSampler:
     return RepSampler(
         n=n,
         k=int(k),
-        l11=om.omega11_factor,
-        w=om.w,
+        lam=om.lam,
+        b=om.b,
         r=om.schur,
         gamma_t=alpha_abs**2 * om.vt_quad,
     )
@@ -64,51 +71,35 @@ def make_sampler(sigma, sigma_t, v, alpha_abs, k) -> RepSampler:
 def sample_pairs(stream, s: RepSampler, size: int):
     """Draw ``size`` invariant pairs; returns (beta, t_tilde) arrays.
 
-    Exact per-draw recipe, draw order pinned:
-      1. x1 = L11 @ u with u standard circular of length N-1;
-      2. g ~ Cchi2(K-N+2); beta = 1/(1 + ||x1||^2 / g);
-      3. c = 1 + beta (r - 1); delta = beta |sqrt(gamma_t) + w @ x1|^2 / c;
+    Exact per-draw recipe, in the whitened leading eigenbasis, where
+    ||x1||^2 = sum lam_i |u_i|^2 and the cross term is b @ u for u standard
+    circular of length N-1. Draw order pinned:
+      1. if b has a nonzero entry, u standard circular of shape (size, N-1),
+         that is (size, 2(N-1)) standard normals scaled by 1/sqrt(2) and
+         read as (re, im) pairs; q = ||x1||^2 and a = sqrt(gamma_t) + b @ u;
+         if b is exactly zero, q = E @ lam with E (size, N-1) standard
+         exponentials (|u_i|^2 is Exp(1)) and a = sqrt(gamma_t), half the
+         draws; a tolerance here would drop a real cross term;
+      2. g ~ Cchi2(K-N+2); beta = 1/(1 + q / g);
+      3. c = 1 + beta (r - 1); delta = beta |a|^2 / c;
       4. t_tilde = c * Cchi2(1, delta) / Cchi2(K-N+1).
     """
     if size < 1:
         raise ValueError(f"size must be >= 1, got {size}")
     rng = _generator(stream)
     n, k = s.n, s.k
-    u = standard_circular(rng, (size, n - 1))
-    x1 = u @ s.l11.T
+    if s.b.any():
+        u = standard_circular(rng, (size, n - 1))
+        a = np.sqrt(s.gamma_t) + u @ s.b
+        parts = u.view(np.float64)
+        q = (parts * parts) @ np.repeat(s.lam, 2)
+    else:
+        q = rng.standard_exponential((size, n - 1)) @ s.lam
+        a = np.sqrt(s.gamma_t)
     g = rng.gamma(k - n + 2, 1.0, size=size)
-    q = np.einsum("mi,mi->m", x1.conj(), x1).real / g
-    beta = 1.0 / (1.0 + q)
+    beta = 1.0 / (1.0 + q / g)
     c = 1.0 + beta * (s.r - 1.0)
-    delta = beta * np.abs(np.sqrt(s.gamma_t) + x1 @ s.w) ** 2 / c
-    z = standard_circular(rng, (size,))
-    num = np.abs(np.sqrt(delta) + z) ** 2
-    den = rng.gamma(k - n + 1, 1.0, size=size)
-    return beta, c * num / den
-
-
-def sample_pairs_ger(stream, lam, r, gamma_t, n, k, size: int):
-    """Vectorized sampler for the collinear-gain case (cross row identically zero).
-
-    Same recipe as ``sample_pairs`` with x1 = sqrt(lam) * u, so the
-    noncentrality reduces to beta * gamma_t / c. Draw order matches
-    sample_pairs so the two agree draw for draw when w = 0 and
-    L11 = diag(sqrt(lam)). Kept as an independent reference that
-    ``sample_pairs`` is tested against.
-    """
-    lam = np.asarray(lam, dtype=float)
-    if lam.shape != (n - 1,) or np.any(lam <= 0):
-        raise ValueError(f"lam must be {n - 1} positive reals")
-    if not r > 0:
-        raise ValueError(f"Schur complement must be positive, got {r}")
-    if gamma_t < 0 or size < 1 or k < n:
-        raise ValueError("need gamma_t >= 0, size >= 1, K >= N")
-    rng = _generator(stream)
-    u = standard_circular(rng, (size, n - 1))
-    q = (np.abs(u) ** 2 @ lam) / rng.gamma(k - n + 2, 1.0, size=size)
-    beta = 1.0 / (1.0 + q)
-    c = 1.0 + beta * (r - 1.0)
-    delta = beta * gamma_t / c
+    delta = beta * np.abs(a) ** 2 / c
     z = standard_circular(rng, (size,))
     num = np.abs(np.sqrt(delta) + z) ** 2
     den = rng.gamma(k - n + 1, 1.0, size=size)

@@ -206,6 +206,22 @@ def test_calibration_roots_are_those_of_scipy_brentq(monkeypatch):
     assert {key: val for key, val in port.items() if val != reference[key]} == {}
 
 
+def test_calibration_evaluates_each_bracket_end_once(monkeypatch):
+    # The AMF root at N=16, K=32 grows its bracket once and then takes 11
+    # Brent steps: 13 distinct arguments. Both bracket ends were known
+    # before Brent starts, so evaluating them again would make 15 calls.
+    args = []
+    exact = mcengine.matched_exceedance
+
+    def counted(kind, threshold, *rest):
+        args.append(threshold)
+        return exact(kind, threshold, *rest)
+
+    monkeypatch.setattr(mcengine, "matched_exceedance", counted)
+    calibrate_threshold(AMF, N, K, 1e-3)
+    assert len(args) == len(set(args)) == 13
+
+
 def test_brent_returns_an_endpoint_where_f_is_zero():
     assert mcengine._brent(lambda x: x - 0.25, 0.25, 1.0, 1e-300, 1e-15) == 0.25
     assert mcengine._brent(lambda x: x - 1.0, 0.25, 1.0, 1e-300, 1e-15) == 1.0

@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
 
-from cfarmismatch.matkit import chol
+from scipy import linalg
+
+from cfarmismatch.matkit import NotPositiveDefiniteError, chol
 from cfarmismatch.mismatch import (
     VARIANTS,
     MismatchSpec,
+    _rotated_omega,
     check_ger,
     gen_sigma_t,
     omega_decompose,
@@ -166,8 +169,8 @@ def test_ger_eig_lambda_matches_drawn_scalar(sigma, steer):
 
 def test_omega_identity_case(sigma, steer):
     om = omega_decompose(sigma, sigma, steer)
-    assert np.abs(om.omega11_factor - np.eye(len(steer) - 1)).max() < 1e-10
-    assert np.linalg.norm(om.w) < 1e-10
+    assert np.abs(om.lam - 1.0).max() < 1e-10
+    assert np.linalg.norm(om.b) < 1e-10
     assert abs(om.schur - 1.0) < 1e-10
 
 
@@ -176,7 +179,7 @@ def test_omega_cross_row_vanishes_under_ger(sigma, steer):
     for i in range(5):
         st, _ = draw(root.child(i), sigma, steer, "ger_chol")
         om = omega_decompose(sigma, st, steer)
-        assert np.linalg.norm(om.w) < 1e-8
+        assert np.linalg.norm(om.b) < 1e-8
 
 
 def test_omega_schur_equals_quad_ratio(sigma, steer):
@@ -216,3 +219,29 @@ def test_omega_decomposes_ill_conditioned_scenario(variant):
         num = (steer.conj() @ np.linalg.solve(st, steer)).real
         den = (steer.conj() @ np.linalg.solve(sigma, steer)).real
         assert abs(om.schur - num / den) < 1e-6 * (num / den)
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_omega_eigenbasis_matches_cholesky_route(variant):
+    # The cross row's energy ||b||^2 and the Schur complement from the
+    # eigendecomposition of Omega11 agree with the Cholesky route
+    # w = Omega12^H inv(Omega11) on the same Omega, at cond(sigma) about 4e7.
+    scn = ScenarioCfg(n=64, k=128, cnr_db=60.0, rho1=0.999)
+    sigma = build_cov(scn)
+    steer = build_steering(scn.n, scn.fd)
+    root = StreamKey(118).child(VARIANTS.index(variant))
+    for i in range(5):
+        st, _ = draw(root.child(i), sigma, steer, variant)
+        om = omega_decompose(sigma, st, steer)
+        omega, _ = _rotated_omega(sigma, st, steer)
+        o11, o12, o22 = omega[:-1, :-1], omega[:-1, -1], omega[-1, -1].real
+        w = linalg.cho_solve((chol(o11), True), o12).conj()
+        assert abs(np.vdot(om.b, om.b).real - (w @ o11 @ w.conj()).real) <= 1e-10 * o22
+        assert abs(om.schur - (o22 - (w @ o12).real)) <= 1e-10 * om.schur
+        assert np.all(np.diff(om.lam) >= 0)
+
+
+def test_omega_rejects_a_leading_block_that_is_not_positive_definite(steer):
+    n = len(steer)
+    with pytest.raises(NotPositiveDefiniteError, match="eigenvalue"):
+        omega_decompose(-np.eye(n, dtype=complex), np.eye(n, dtype=complex), steer)

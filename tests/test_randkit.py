@@ -1,3 +1,6 @@
+import hashlib
+import struct
+
 import numpy as np
 import pytest
 from scipy import stats as sstats
@@ -42,6 +45,17 @@ def test_stream_key_rejects_negative_path():
 
 def test_generator_id_names_the_numpy_build():
     assert np.__version__ in GENERATOR_ID
+
+
+def test_stream_key_seeds_sfc64_with_its_hash():
+    key = StreamKey(7).child(1, 2)
+    g = key.generator()
+    assert isinstance(g.bit_generator, np.random.SFC64)
+    assert GENERATOR_ID.startswith("sfc64(sha256 seed/path)/")
+    h = hashlib.sha256(b"cfarmismatch.stream.v1")
+    h.update(struct.pack("<QQQ", 7, 1, 2))
+    ref = np.random.Generator(np.random.SFC64(int.from_bytes(h.digest()[:16], "little")))
+    assert np.array_equal(g.standard_normal(8), ref.standard_normal(8))
 
 
 def test_standard_circular_unit_power():

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy import special
@@ -13,12 +15,7 @@ from cfarmismatch.mcengine import MisSetup, draw_pairs
 from cfarmismatch.mismatch import MismatchSpec, check_ger, gen_sigma_t
 from cfarmismatch.randkit import StreamKey, beta_cdf, cf1_survival
 from cfarmismatch.scenario import ScenarioCfg, build_cov, build_steering, snr_to_alpha
-from cfarmismatch.storep import (
-    RepSampler,
-    make_sampler,
-    sample_pairs,
-    sample_pairs_ger,
-)
+from cfarmismatch.storep import RepSampler, make_sampler, sample_pairs
 
 N, K = 16, 32
 KS_LIMIT = 0.006
@@ -31,14 +28,13 @@ def ks_against(samples, cdf):
 
 
 def matched_sampler(gamma_t=0.0):
-    return RepSampler(n=N, k=K, l11=np.eye(N - 1, dtype=complex),
-                      w=np.zeros(N - 1, dtype=complex), r=1.0, gamma_t=gamma_t)
+    return RepSampler(n=N, k=K, lam=np.ones(N - 1), b=0.0, r=1.0, gamma_t=gamma_t)
 
 
 def test_make_sampler_matched_fields(sigma, steer):
     s = make_sampler(sigma, sigma, steer, 0.0, K)
-    assert np.abs(s.l11 - np.eye(N - 1)).max() < 1e-10
-    assert np.linalg.norm(s.w) < 1e-10
+    assert np.abs(s.lam - 1.0).max() < 1e-10
+    assert np.linalg.norm(s.b) < 1e-10
     assert abs(s.r - 1.0) < 1e-10
     assert s.gamma_t == 0.0
 
@@ -46,7 +42,7 @@ def test_make_sampler_matched_fields(sigma, steer):
 def test_make_sampler_ger_input_kills_cross_row(sigma, steer):
     st, _ = gen_sigma_t(StreamKey(300), sigma, steer, MismatchSpec("ger_chol", 6.0))
     s = make_sampler(sigma, st, steer, 0.0, K)
-    assert np.linalg.norm(s.w) < 1e-8
+    assert np.linalg.norm(s.b) < 1e-8
 
 
 def test_make_sampler_gamma_t_value(sigma, steer):
@@ -59,13 +55,14 @@ def test_make_sampler_gamma_t_value(sigma, steer):
 
 def test_sampler_state_validation():
     with pytest.raises(ValueError):
-        RepSampler(n=N, k=15, l11=np.eye(N - 1, dtype=complex),
-                   w=np.zeros(N - 1, dtype=complex), r=1.0, gamma_t=0.0)
+        RepSampler(n=N, k=15, lam=np.ones(N - 1), b=0.0, r=1.0, gamma_t=0.0)
     with pytest.raises(ValueError):
         matched_sampler(gamma_t=-1.0)
     with pytest.raises(ValueError):
-        RepSampler(n=N, k=K, l11=np.eye(N - 1, dtype=complex),
-                   w=np.zeros(N - 1, dtype=complex), r=0.0, gamma_t=0.0)
+        RepSampler(n=N, k=K, lam=np.ones(N - 1), b=0.0, r=0.0, gamma_t=0.0)
+    for lam in (np.ones(N), np.r_[np.ones(N - 2), 0.0], np.r_[np.ones(N - 2), np.nan]):
+        with pytest.raises(ValueError):
+            RepSampler(n=N, k=K, lam=lam, b=0.0, r=1.0, gamma_t=0.0)
 
 
 def test_sample_pairs_is_stream_deterministic():
@@ -73,6 +70,29 @@ def test_sample_pairs_is_stream_deterministic():
     b1, t1 = sample_pairs(StreamKey(302), s, 64)
     b2, t2 = sample_pairs(StreamKey(302), s, 64)
     assert np.array_equal(b1, b2) and np.array_equal(t1, t2)
+
+
+@pytest.mark.parametrize("b", [0.0, 0.3 - 0.2j])
+def test_sample_pairs_draw_order_is_pinned(b):
+    lam = np.linspace(0.5, 2.0, N - 1)
+    s = RepSampler(n=N, k=K, lam=lam, b=b, r=1.7, gamma_t=4.0)
+    key = StreamKey(325)
+    beta, t = sample_pairs(key, s, 64)
+    rng = key.generator()
+    if b:
+        z = rng.standard_normal((64, N - 1, 2)) / np.sqrt(2.0)
+        q = (z[..., 0] ** 2 + z[..., 1] ** 2) @ lam
+        a = 2.0 + (z[..., 0] + 1j * z[..., 1]) @ np.full(N - 1, b)
+    else:
+        q = rng.standard_exponential((64, N - 1)) @ lam
+        a = 2.0
+    beta_ref = 1.0 / (1.0 + q / rng.gamma(K - N + 2, 1.0, size=64))
+    c = 1.0 + 0.7 * beta_ref
+    zt = rng.standard_normal((64, 2)) / np.sqrt(2.0)
+    num = np.abs(np.sqrt(beta_ref * np.abs(a) ** 2 / c) + zt[:, 0] + 1j * zt[:, 1]) ** 2
+    t_ref = c * num / rng.gamma(K - N + 1, 1.0, size=64)
+    assert np.allclose(beta, beta_ref, rtol=1e-13, atol=0)
+    assert np.allclose(t, t_ref, rtol=1e-12, atol=0)
 
 
 def test_sample_pairs_rejects_empty():
@@ -115,8 +135,7 @@ def test_beta_marginal_matches_gamma_mixture_oracle(sigma, steer):
     s = make_sampler(sigma, st, steer, 0.0, K)
     beta, _ = sample_pairs(StreamKey(308), s, 100_000)
     rng = np.random.default_rng(309)
-    lam = np.linalg.eigvalsh(s.l11 @ s.l11.conj().T)
-    mix = rng.exponential(size=(100_000, N - 1)) @ lam
+    mix = rng.exponential(size=(100_000, N - 1)) @ s.lam
     beta_ref = 1.0 / (1.0 + mix / rng.gamma(K - N + 2, 1.0, size=100_000))
     from scipy import stats as sstats
 
@@ -177,14 +196,16 @@ def test_fast_path_matches_direct_path_at_high_cnr(snr):
 
 
 def test_ger_sampler_agrees_with_general_sampler(sigma, steer):
+    # Under the relation the cross row is zero only up to rounding, so this
+    # sampler draws normals; with b exactly zero it draws exponentials.
     st, _ = gen_sigma_t(StreamKey(313), sigma, steer, MismatchSpec("ger_eig", 6.0))
     rep = check_ger(sigma, st, steer)
     assert rep.holds
     s = make_sampler(sigma, st, steer, 0.0, K)
+    assert s.b.any()
     n_s = 200_000
     beta_a, t_a = sample_pairs(StreamKey(314), s, n_s)
-    lam = np.linalg.eigvalsh(s.l11 @ s.l11.conj().T)
-    beta_b, t_b = sample_pairs_ger(StreamKey(315), lam, s.r, 0.0, N, K, n_s)
+    beta_b, t_b = sample_pairs(StreamKey(315), dataclasses.replace(s, b=0.0), n_s)
     from scipy import stats as sstats
 
     assert float(sstats.ks_2samp(beta_a, beta_b).statistic) < KS_LIMIT
@@ -192,13 +213,15 @@ def test_ger_sampler_agrees_with_general_sampler(sigma, steer):
 
 
 def test_ger_sampler_matched_t_is_pivotal():
-    _, t = sample_pairs_ger(StreamKey(316), np.full(N - 1, 0.8), 1.0, 0.0, N, K, 100_000)
+    s = RepSampler(n=N, k=K, lam=np.full(N - 1, 0.8), b=0.0, r=1.0, gamma_t=0.0)
+    _, t = sample_pairs(StreamKey(316), s, 100_000)
     d = ks_against(t, lambda x: 1.0 - cf1_survival(x, K - N + 1))
     assert d < KS_LIMIT
 
 
 def test_gain_ratio_above_one_inflates_t():
-    _, t = sample_pairs_ger(StreamKey(317), np.ones(N - 1), 2.0, 0.0, N, K, 100_000)
+    s = RepSampler(n=N, k=K, lam=np.ones(N - 1), b=0.0, r=2.0, gamma_t=0.0)
+    _, t = sample_pairs(StreamKey(317), s, 100_000)
     assert float(t.mean()) > 0.07  # matched mean is 1/16
 
 
