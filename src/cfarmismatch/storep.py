@@ -92,7 +92,8 @@ def sample_pairs(stream, s: RepSampler, size: int):
         u = standard_circular(rng, (size, n - 1))
         a = np.sqrt(s.gamma_t) + u @ s.b
         parts = u.view(np.float64)
-        q = (parts * parts) @ np.repeat(s.lam, 2)
+        np.square(parts, out=parts)  # in place: u is not read again
+        q = parts @ np.repeat(s.lam, 2)
     else:
         q = rng.standard_exponential((size, n - 1)) @ s.lam
         a = np.sqrt(s.gamma_t)
