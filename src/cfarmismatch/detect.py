@@ -90,14 +90,19 @@ def raw_stats(x, xt, v):
 def raw_stats_batch(x, factor, v):
     """Vectorized raw_stats from the packed factor of ``gen_data_batch``:
     (Gt A)^-1 = A^-1 Gt^-1, so x and v are whitened by Gt once, then A is
-    forward-substituted row by row; row i, in row-major tril order, is the
-    contiguous ``off[:, i(i-1)/2 : i(i-1)/2 + i]``.
+    forward-substituted. Both substitutions run row by row, vectorized
+    across trials, into column-major buffers, where one coordinate of every
+    trial is contiguous; row i of A, in row-major tril order, is the contiguous
+    ``off[:, i(i-1)/2 : i(i-1)/2 + i]``.
     """
     gt, off, diag = factor
-    xw = solve_lower(gt, x.T).T
+    n = x.shape[1]
+    xw = np.empty(x.shape, x.dtype, order="F")
+    for i in range(n):
+        xw[:, i] = (x[:, i] - xw[:, :i] @ gt[i, :i]) / gt[i, i]
     vw = solve_lower(gt, v)
     a, b = np.empty_like(xw), np.empty_like(xw)
-    for i in range(x.shape[1]):
+    for i in range(n):
         s = i * (i - 1) // 2
         row = off[:, s:s + i]
         a[:, i] = (xw[:, i] - np.einsum("mj,mj->m", row, a[:, :i])) / diag[:, i]

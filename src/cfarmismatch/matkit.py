@@ -1,7 +1,8 @@
 """Complex Hermitian linear-algebra kernels with explicit accuracy contracts.
 
-Everything here is a thin, contract-checked wrapper over LAPACK
-(via numpy/scipy); no inverse is ever formed explicitly.
+Everything here is a thin, contract-checked wrapper over LAPACK through
+numpy alone, so importing it loads no scipy; no inverse is ever formed
+explicitly.
 """
 
 from __future__ import annotations
@@ -9,8 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import linalg
-from scipy.linalg import lapack
 
 HERMITIAN_TOL = 1e-12
 
@@ -39,12 +38,18 @@ def check_hermitian(a: np.ndarray, what: str = "matrix") -> np.ndarray:
 def chol(a: np.ndarray) -> np.ndarray:
     """Lower Cholesky factor L with L L^H = a, positive real diagonal."""
     a = check_hermitian(a)
-    c, info = lapack.zpotrf(a, lower=1, clean=1, overwrite_a=0)
-    if info > 0:
-        raise NotPositiveDefiniteError(info)
-    if info < 0:
-        raise ValueError(f"illegal Cholesky input (argument {-info})")
-    return c
+    try:
+        return np.linalg.cholesky(a)
+    except np.linalg.LinAlgError:
+        pass
+    # Only after a failure: the pivot is the order of the first leading
+    # block that does not factor, the whole matrix at the latest.
+    for p in range(1, a.shape[0]):
+        try:
+            np.linalg.cholesky(a[:p, :p])
+        except np.linalg.LinAlgError:
+            raise NotPositiveDefiniteError(p) from None
+    raise NotPositiveDefiniteError(a.shape[0])
 
 
 @dataclass(frozen=True)
@@ -84,9 +89,9 @@ def ortho_complement(v: np.ndarray) -> np.ndarray:
 def solve_hpd(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Solve a @ x = b for Hermitian positive-definite a via Cholesky."""
     c = chol(a)
-    return linalg.cho_solve((c, True), np.asarray(b, dtype=np.complex128))
+    return np.linalg.solve(c.conj().T, solve_lower(c, b))
 
 
 def solve_lower(l: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Solve l @ x = b for lower-triangular l."""
-    return linalg.solve_triangular(l, np.asarray(b, dtype=np.complex128), lower=True)
+    return np.linalg.solve(l, np.asarray(b, dtype=np.complex128))

@@ -15,12 +15,11 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from .detect import DetectorKind, gen_data_batch, kalson, pairs_from_raw, raw_stats_batch, stat_values
 from .mismatch import MismatchSpec, gen_sigma_t, omega_decompose
 from .randkit import wilson_ci
-from .scenario import ScenarioCfg, build_cov, build_steering, snr_to_alpha
+from .scenario import ScenarioCfg, build_cov, build_steering, snr_to_alpha, whitened_quad
 from .storep import RepSampler, sample_pairs
 
 CHUNK_FAST = 1 << 16
@@ -236,7 +235,7 @@ def _beta_rule(n: int, k: int):
     u = np.pi * np.sinh(t)
     log_beta = -np.logaddexp(0.0, -u)
     log_w = (np.log(h * np.pi * np.cosh(t)) + a * log_beta - b * np.logaddexp(0.0, u)
-             - special.betaln(a, b))
+             - (math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)))
     keep = log_w > -745.0
     w = np.exp(log_w[keep])
     return np.exp(log_beta[keep]), w / w.sum()
@@ -253,11 +252,17 @@ def matched_exceedance(kind: DetectorKind, threshold: float, n: int, k: int,
     P_d (IEEE TAES 1986), sum_j Binom(j; L, y/(1+y)) P(j, x) with
     x = beta snr / (1+y) and P the regularized lower incomplete gamma, is
     P(Bin(L, y/(1+y)) <= Pois(x)). It is evaluated as the Poisson mixture
-    sum_{m<M} Pois(m; x) I_{1/(1+y)}(L-m, m+1) + P(L, x), the binomial CDF
-    at m as a regularized incomplete beta. The terms m >= M, with
-    M = min(L, ceil(x + 10 sqrt(x) + 30)) at the largest x, hold at most
+    sum_{m<M} Pois(m; x) P(Bin(L, y/(1+y)) <= m) + P(Pois(x) >= L). The
+    binomial CDF is a running sum of its pmf, C(L, m) y^m / (1+y)^L, with
+    log C(L, m) a running sum of log((L-i)/(i+1)). The Poisson tail is
+    summed upward from L where x <= L, so a small tail keeps its relative
+    precision; where x > L it is at least about 1/2, and is 1 minus the sum
+    below L. The terms m >= M, with M = min(L, ceil(x + 10 sqrt(x) + 30)) at
+    the largest x, and the tail's beyond that point, hold at most
     P(Pois(x) >= M) <= 1e-20 and are dropped, so time and memory stay
     bounded in K. The weights round like eps x log x, so P_d is clamped to 1.
+    Only the integer shapes L and N-1 occur, so every special function is a
+    finite sum over math.lgamma values.
     """
     big_l = k - n + 1
     beta, w = _beta_rule(n, k)
@@ -266,10 +271,21 @@ def matched_exceedance(kind: DetectorKind, threshold: float, n: int, k: int,
         return float(w @ np.exp(-big_l * np.log1p(y)))
     x = beta * snr / (1.0 + y)
     x_max = float(x.max())
-    m = np.arange(min(big_l, int(np.ceil(x_max + 10.0 * np.sqrt(x_max) + 30.0))))
-    pois = np.exp(special.xlogy(m, x[:, None]) - x[:, None] - special.gammaln(m + 1))
-    below = special.betainc(big_l - m, m + 1, (1.0 / (1.0 + y))[:, None])
-    return min(1.0, float(w @ (np.sum(pois * below, axis=1) + special.gammainc(big_l, x))))
+    reach = int(np.ceil(x_max + 10.0 * np.sqrt(x_max) + 30.0))
+    log_x = np.log(x)[:, None]
+
+    def log_pois(j):
+        return j * log_x - x[:, None] - np.array([math.lgamma(i + 1.0) for i in j])
+
+    m = np.arange(min(big_l, reach))
+    pois = np.exp(log_pois(m))
+    log_choose = np.concatenate(([0.0], np.cumsum(np.log((big_l - m[:-1]) / (m[:-1] + 1.0)))))
+    below = np.cumsum(np.exp(log_choose + m * np.log(y)[:, None]
+                             - big_l * np.log1p(y)[:, None]), axis=1)
+    # Past L + 10 sqrt(L) + 30, the tail of any x <= L is negligible.
+    j = np.arange(big_l, min(reach, big_l + int(np.ceil(10.0 * np.sqrt(big_l) + 30.0))))
+    tail = np.where(x > big_l, 1.0 - pois.sum(axis=1), np.exp(log_pois(j)).sum(axis=1))
+    return min(1.0, float(w @ (np.sum(pois * below, axis=1) + tail)))
 
 
 def _brent(f, xa: float, xb: float, xtol: float, rtol: float, maxiter: int = 100) -> float:
@@ -433,13 +449,12 @@ def meta_digest(variant_meta: dict, schur: float) -> str:
 
 
 def _sweep_draw(args):
-    (draw_stream, draw_id, scenario, mspec, plans, n_trials, pd_trials, path) = args
+    (draw_stream, draw_id, fixed, mspec, plans, n_trials, pd_trials, path) = args
+    sigma, v, v_quad, k, alphas = fixed
     try:
-        sigma = build_cov(scenario)
-        v = build_steering(scenario.n, scenario.fd)
-        n, k = scenario.n, scenario.k
+        n = sigma.shape[0]
         sigma_t, meta = gen_sigma_t(draw_stream.child(_PURPOSE_SIGMA_T), sigma, v, mspec)
-        om = omega_decompose(sigma, sigma_t, v)
+        om = omega_decompose(sigma, sigma_t, v, v_quad)
         base = RepSampler(n=n, k=k, lam=om.lam, b=om.b, r=om.schur, gamma_t=0.0)
         digest = meta_digest(meta, om.schur)
 
@@ -449,7 +464,7 @@ def _sweep_draw(args):
             return MisSetup(sigma=sigma, sigma_t=sigma_t, v=v, alpha_abs=alpha_abs, k=k)
 
         kinds = [plan.resolve(om.schur) for plan in plans]
-        counts = _count(draw_stream.child(_PURPOSE_H0), source(0.0),
+        counts = _count(draw_stream.child(_PURPOSE_H0), base if path == "fast" else source(0.0),
                         tuple((kd, plan.threshold) for kd, plan in zip(kinds, plans)), n_trials)
 
         rows = []
@@ -457,8 +472,7 @@ def _sweep_draw(args):
             est = PfaEstimate.from_counts(count, n_trials)
             pd_fields = {}
             if plan.snr_linear is not None:
-                alpha_abs = snr_to_alpha(plan.snr_linear, sigma, v)
-                (pd_count,) = _count(draw_stream.child(_PURPOSE_H1, pi), source(alpha_abs),
+                (pd_count,) = _count(draw_stream.child(_PURPOSE_H1, pi), source(alphas[pi]),
                                      ((kd, plan.threshold),), pd_trials)
                 pe = PfaEstimate.from_counts(pd_count, pd_trials)
                 snr_db = 10.0 * np.log10(plan.snr_linear) if plan.snr_linear > 0 else float("-inf")
@@ -509,8 +523,15 @@ def sweep(stream, scenario: ScenarioCfg, mspec: MismatchSpec, plans, n_draws: in
     missing = [plan.label for plan in plans if plan.snr_linear is None]
     if 0 < len(missing) < len(plans):
         raise ValueError(f"plans {missing} have no calibrated SNR for P_d rows, but others do")
+    # Sigma, v, v^H inv(Sigma) v and each plan's signal amplitude are fixed
+    # for the whole sweep, so every draw shares them.
+    sigma = build_cov(scenario)
+    v = build_steering(scenario.n, scenario.fd)
+    alphas = tuple(None if plan.snr_linear is None else snr_to_alpha(plan.snr_linear, sigma, v)
+                   for plan in plans)
+    fixed = (sigma, v, whitened_quad(sigma, v), scenario.k, alphas)
     args = [
-        (stream.child(d), d, scenario, mspec, plans, n_trials, pd_trials, path)
+        (stream.child(d), d, fixed, mspec, plans, n_trials, pd_trials, path)
         for d in range(n_draws)
     ]
     results = _map_chunks(_sweep_draw, args, workers)

@@ -25,6 +25,7 @@ from .matkit import (
     solve_lower,
 )
 from .randkit import _generator, sample_cwishart
+from .scenario import whitened_quad
 
 VARIANTS = ("identity", "inv_wishart", "eig_jitter", "ger_chol", "ger_eig")
 
@@ -207,9 +208,12 @@ def _rotated_omega(sigma: np.ndarray, sigma_t: np.ndarray, v: np.ndarray) -> tup
     return hermitian_part(q.conj().T @ m @ q), vt_quad
 
 
-def omega_decompose(sigma: np.ndarray, sigma_t: np.ndarray, v: np.ndarray) -> OmegaSummary:
+def omega_decompose(sigma: np.ndarray, sigma_t: np.ndarray, v: np.ndarray,
+                    v_quad: float | None = None) -> OmegaSummary:
     """Whiten by the training covariance, rotate the whitened v onto the last
-    axis, partition, and diagonalize the leading block."""
+    axis, partition, and diagonalize the leading block. ``v_quad`` is
+    v^H inv(sigma) v, for the Schur check; a sweep, whose sigma and v are
+    fixed, passes it in, and it is computed here when left out."""
     omega, vt_quad = _rotated_omega(sigma, sigma_t, v)
     lam, vecs = np.linalg.eigh(omega[:-1, :-1])
     if not lam[0] > 0:
@@ -217,7 +221,7 @@ def omega_decompose(sigma: np.ndarray, sigma_t: np.ndarray, v: np.ndarray) -> Om
     b = (omega[:-1, -1].conj() @ vecs) / np.sqrt(lam)
     schur = float(omega[-1, -1].real - np.vdot(b, b).real)
 
-    ratio = vt_quad / float(np.vdot(v, solve_hpd(sigma, v)).real)
+    ratio = vt_quad / (whitened_quad(sigma, v) if v_quad is None else v_quad)
     if abs(schur - ratio) > 1e-6 * ratio:
         raise RuntimeError(
             f"Schur complement {schur!r} disagrees with quadratic-form ratio {ratio!r}"

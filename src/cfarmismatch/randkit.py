@@ -24,7 +24,6 @@ import struct
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import special
 
 _MASK64 = (1 << 64) - 1
 
@@ -124,6 +123,8 @@ def cf1_survival(t, q: int):
 
 def beta_cdf(a: float, b: float, x):
     """Regularized incomplete beta I_x(a, b), the Beta(a, b) CDF."""
+    from scipy import special  # only validate and cdf need it; kept off the run path
+
     if a <= 0 or b <= 0:
         raise ValueError(f"beta parameters must be positive, got a={a}, b={b}")
     x = np.asarray(x, dtype=float)

@@ -421,12 +421,39 @@ def test_default_workers_follow_the_affinity_mask(tmp_path, monkeypatch):
 
 
 def test_cli_import_leaves_scipy_stats_unloaded():
-    unloaded = ("scipy.stats", "scipy.optimize", "urllib.request", "jsonschema")
-    code = f"import sys, cfarmismatch.cli; print([m for m in {unloaded!r} if m in sys.modules])"
+    unloaded = ("urllib.request", "jsonschema")
+    code = ("import sys, cfarmismatch.cli; print([m for m in sys.modules "
+            f"if m in {unloaded!r} or m == 'scipy' or m.startswith('scipy.')])")
     env = {**os.environ, "PYTHONPATH": str(Path(cfarmismatch.__file__).parents[1])}
     res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env=env, check=True)
     assert res.stdout.strip() == "[]"
+
+
+def test_calibrate_sweep_and_roc_runs_load_no_scipy(tmp_path):
+    # Both paths, H0 and H1, on one process: calibration, a fast sweep and a
+    # direct roc leave no scipy module behind.
+    cfg = {"seed": 921, "mismatch": {"variant": "inv_wishart", "delta_db": 6.0},
+           "detectors": [{"kind": "kelly"}, {"kind": "amf"}, {"kind": "kalson", "kappa": 2.0}],
+           "n_draws": 2, "pfa_target": 1e-2, "pd_target": 0.5,
+           "trials": {"calibration": 10_000, "pfa": 2_000, "pd": 2_000}}
+    path = write_cfg(tmp_path, "cfg.json", cfg)
+    code = f"""
+import sys
+from cfarmismatch.cli import main
+runs = [["calibrate"], ["sweep"], ["roc", "--path", "direct"]]
+for i, run in enumerate(runs):
+    code = main(run + ["--config", {path!r}, "--out", {str(tmp_path)!r} + f"/r{{i}}",
+                       "--workers", "1"])
+    assert code == 0, (run, code)
+print([m for m in sys.modules if m == "scipy" or m.startswith("scipy.")])
+"""
+    env = {**os.environ, "PYTHONPATH": str(Path(cfarmismatch.__file__).parents[1])}
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, timeout=300)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip().splitlines()[-1] == "[]"
+    assert all((tmp_path / f"r{i}").is_dir() for i in range(3))
 
 
 def test_closed_stdout_does_not_stop_the_run(tmp_path):

@@ -41,6 +41,21 @@ def test_chol_rejects_indefinite_with_pivot():
     assert exc.value.pivot == 2
 
 
+@pytest.mark.parametrize("seed", range(6))
+def test_chol_pivot_is_lapacks(seed):
+    # An indefinite Hermitian matrix: the pivot must be LAPACK zpotrf's info.
+    rng = np.random.default_rng(700 + seed)
+    q = np.linalg.qr(rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6)))[0]
+    vals = rng.uniform(0.1, 3.0, 6)
+    vals[rng.integers(6)] = -rng.uniform(0.1, 1.0)
+    a = hermitian_part((q * vals) @ q.conj().T)
+    info = sla.lapack.zpotrf(a, lower=1)[1]
+    assert info > 0
+    with pytest.raises(NotPositiveDefiniteError) as exc:
+        chol(a)
+    assert exc.value.pivot == info
+
+
 def test_chol_rejects_non_hermitian():
     a = np.eye(3, dtype=complex)
     a[0, 1] = 1.0

@@ -135,6 +135,60 @@ def test_blocked_detection_sum_matches_full_sum(k):
         assert matched_exceedance(AMF, eta, N, k, snr) == pytest.approx(full, rel=1e-12), snr
 
 
+SCIPY_GRID_DIMS = [(2, 2), (2, 5), (16, 32), (64, 128), (16, 527), (16, 5015)]
+SCIPY_GRID_KINDS = [KELLY, AMF, kalson(0.5), kalson(2.0)]
+
+
+def _scipy_beta_rule(n, k):
+    # mcengine._beta_rule with its normalizing constant from scipy's betaln.
+    a, b = k - n + 2, n - 1
+    h = min(1.0 / 32.0, 1.0 / (np.pi * np.sqrt(k + 2.0)))
+    t = np.arange(-4.5, 4.5 + 0.5 * h, h)
+    u = np.pi * np.sinh(t)
+    log_beta = -np.logaddexp(0.0, -u)
+    log_w = (np.log(h * np.pi * np.cosh(t)) + a * log_beta - b * np.logaddexp(0.0, u)
+             - special.betaln(a, b))
+    keep = log_w > -745.0
+    w = np.exp(log_w[keep])
+    return np.exp(log_beta[keep]), w / w.sum()
+
+
+def _scipy_matched_detection(kind, threshold, n, k, snr):
+    # The Poisson mixture with the binomial CDF as scipy's betainc and the
+    # Poisson tail as its gammainc.
+    big_l = k - n + 1
+    beta, w = mcengine._beta_rule(n, k)
+    y = threshold / mcengine.stat_values(kind, beta, np.ones_like(beta))
+    x = beta * snr / (1.0 + y)
+    x_max = float(x.max())
+    m = np.arange(min(big_l, int(np.ceil(x_max + 10.0 * np.sqrt(x_max) + 30.0))))
+    pois = np.exp(special.xlogy(m, x[:, None]) - x[:, None] - special.gammaln(m + 1))
+    below = special.betainc(big_l - m, m + 1, (1.0 / (1.0 + y))[:, None])
+    return min(1.0, float(w @ (np.sum(pois * below, axis=1) + special.gammainc(big_l, x))))
+
+
+@pytest.mark.parametrize("kind", SCIPY_GRID_KINDS)
+@pytest.mark.parametrize("n,k", SCIPY_GRID_DIMS)
+def test_matched_detection_agrees_with_scipy_special(n, k, kind):
+    for pfa in (1e-2, 1e-3, 1e-6):
+        eta = calibrate_threshold(kind, n, k, pfa)
+        for snr in (1e-12, 0.3, 3.0, 30.0, 300.0):
+            ref = _scipy_matched_detection(kind, eta, n, k, snr)
+            assert matched_exceedance(kind, eta, n, k, snr) == pytest.approx(ref, rel=1e-12), \
+                (pfa, snr)
+
+
+@pytest.mark.parametrize("kind", SCIPY_GRID_KINDS)
+@pytest.mark.parametrize("n,k", SCIPY_GRID_DIMS)
+def test_thresholds_agree_with_scipy_betaln(n, k, kind, monkeypatch):
+    for pfa in (1e-2, 1e-3, 1e-6):
+        eta = calibrate_threshold(kind, n, k, pfa)
+        with monkeypatch.context() as mp:
+            mp.setattr(mcengine, "_beta_rule", _scipy_beta_rule)
+            ref = calibrate_threshold(kind, n, k, pfa)
+        assert abs(eta - ref) <= 8 * np.spacing(ref), (pfa, eta, ref)
+
+
 
 def test_detection_probability_is_at_most_one():
     # Unclamped, the Poisson weights' rounding gave Kelly 1 + 1.9e-14 and
