@@ -13,6 +13,7 @@ from __future__ import annotations
 import copy
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 
 from .detect import DetectorKind
@@ -107,9 +108,12 @@ def _typed(val, spec, path: tuple = ()):
         name = {str: "a string", int: "an integer", float: "a number"}[spec]
         raise _invalid(path, f"expected {name}, got {val!r}")
     try:
-        return spec(val)
+        val = spec(val)
     except OverflowError:
         raise _invalid(path, f"{val!r} is out of range") from None
+    if spec is float and not math.isfinite(val):
+        raise _invalid(path, f"must be finite, got {val!r}")
+    return val
 
 
 def _build(path: tuple, make, *args, **kwargs):
@@ -123,11 +127,6 @@ def _build(path: tuple, make, *args, **kwargs):
 def _require(path: tuple, ok: bool, rule: str) -> None:
     if not ok:
         raise _invalid(path, rule)
-
-
-def normalize(user: dict) -> dict:
-    """Check a raw config dict and fill defaults: the dict that is hashed."""
-    return from_dict(user).normalized
 
 
 def from_dict(user: dict) -> RunConfig:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matkit import chol, solve_lower
+from .matkit import chol
 from .randkit import _generator, standard_circular
 
 KINDS = ("kelly", "amf", "kalson")
@@ -79,8 +79,8 @@ def raw_stats(x, xt, v):
     the phases on R's diagonal change neither s1 nor s2.
     """
     l = np.linalg.qr(xt.conj().T, mode="r").conj().T
-    a = solve_lower(l, x)
-    b = solve_lower(l, v)
+    a = np.linalg.solve(l, x)
+    b = np.linalg.solve(l, v)
     s1 = float(np.vdot(a, a).real)
     bb = float(np.vdot(b, b).real)
     s2 = float(abs(np.vdot(a, b)) ** 2 / bb)
@@ -100,7 +100,7 @@ def raw_stats_batch(x, factor, v):
     xw = np.empty(x.shape, x.dtype, order="F")
     for i in range(n):
         xw[:, i] = (x[:, i] - xw[:, :i] @ gt[i, :i]) / gt[i, i]
-    vw = solve_lower(gt, v)
+    vw = np.linalg.solve(gt, v)
     a, b = np.empty_like(xw), np.empty_like(xw)
     for i in range(n):
         s = i * (i - 1) // 2

@@ -7,8 +7,6 @@ explicitly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 HERMITIAN_TOL = 1e-12
@@ -52,21 +50,6 @@ def chol(a: np.ndarray) -> np.ndarray:
     raise NotPositiveDefiniteError(a.shape[0])
 
 
-@dataclass(frozen=True)
-class EigPair:
-    """Hermitian eigendecomposition, eigenvalues sorted descending."""
-
-    values: np.ndarray
-    vectors: np.ndarray
-
-
-def heig(a: np.ndarray) -> EigPair:
-    """Eigendecomposition of a Hermitian matrix, descending eigenvalues."""
-    a = check_hermitian(a)
-    vals, vecs = np.linalg.eigh(a)
-    return EigPair(values=vals[::-1].copy(), vectors=vecs[:, ::-1].copy())
-
-
 def ortho_complement(v: np.ndarray) -> np.ndarray:
     """Semi-unitary basis of the orthogonal complement of a unit vector.
 
@@ -89,9 +72,4 @@ def ortho_complement(v: np.ndarray) -> np.ndarray:
 def solve_hpd(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Solve a @ x = b for Hermitian positive-definite a via Cholesky."""
     c = chol(a)
-    return np.linalg.solve(c.conj().T, solve_lower(c, b))
-
-
-def solve_lower(l: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve l @ x = b for lower-triangular l."""
-    return np.linalg.solve(l, np.asarray(b, dtype=np.complex128))
+    return np.linalg.solve(c.conj().T, np.linalg.solve(c, b))

@@ -18,7 +18,7 @@ import numpy as np
 
 from .detect import DetectorKind, gen_data_batch, kalson, pairs_from_raw, raw_stats_batch, stat_values
 from .mismatch import MismatchSpec, gen_sigma_t, omega_decompose
-from .randkit import wilson_ci
+from .randkit import cf1_survival, wilson_ci
 from .scenario import ScenarioCfg, build_cov, build_steering, snr_to_alpha, whitened_quad
 from .storep import RepSampler, sample_pairs
 
@@ -246,46 +246,13 @@ def matched_exceedance(kind: DetectorKind, threshold: float, n: int, k: int,
     """P(statistic > threshold) without mismatch at linear SNR ``snr`` (0: P_fa).
 
     Given beta, the statistic exceeds when t_tilde > y = threshold / (the
-    statistic at t_tilde = 1), and t_tilde is complex F(1, L), L = K-N+1,
-    with noncentrality beta * snr. At snr = 0 that is (1+y)^-L; its mean over
-    beta is the AMF law of Robey et al. (IEEE TAES 1992). Kelly's conditional
-    P_d (IEEE TAES 1986), sum_j Binom(j; L, y/(1+y)) P(j, x) with
-    x = beta snr / (1+y) and P the regularized lower incomplete gamma, is
-    P(Bin(L, y/(1+y)) <= Pois(x)). It is evaluated as the Poisson mixture
-    sum_{m<M} Pois(m; x) P(Bin(L, y/(1+y)) <= m) + P(Pois(x) >= L). The
-    binomial CDF is a running sum of its pmf, C(L, m) y^m / (1+y)^L, with
-    log C(L, m) a running sum of log((L-i)/(i+1)). The Poisson tail is
-    summed upward from L where x <= L, so a small tail keeps its relative
-    precision; where x > L it is at least about 1/2, and is 1 minus the sum
-    below L. The terms m >= M, with M = min(L, ceil(x + 10 sqrt(x) + 30)) at
-    the largest x, and the tail's beyond that point, hold at most
-    P(Pois(x) >= M) <= 1e-20 and are dropped, so time and memory stay
-    bounded in K. The weights round like eps x log x, so P_d is clamped to 1.
-    Only the integer shapes L and N-1 occur, so every special function is a
-    finite sum over math.lgamma values.
+    statistic at t_tilde = 1), and t_tilde is complex F(1, K-N+1) with
+    noncentrality beta * snr, whose survival is ``cf1_survival``. At snr = 0
+    its mean over beta is the AMF law of Robey et al. (IEEE TAES 1992).
     """
-    big_l = k - n + 1
     beta, w = _beta_rule(n, k)
     y = threshold / stat_values(kind, beta, np.ones_like(beta))
-    if snr <= 0:
-        return float(w @ np.exp(-big_l * np.log1p(y)))
-    x = beta * snr / (1.0 + y)
-    x_max = float(x.max())
-    reach = int(np.ceil(x_max + 10.0 * np.sqrt(x_max) + 30.0))
-    log_x = np.log(x)[:, None]
-
-    def log_pois(j):
-        return j * log_x - x[:, None] - np.array([math.lgamma(i + 1.0) for i in j])
-
-    m = np.arange(min(big_l, reach))
-    pois = np.exp(log_pois(m))
-    log_choose = np.concatenate(([0.0], np.cumsum(np.log((big_l - m[:-1]) / (m[:-1] + 1.0)))))
-    below = np.cumsum(np.exp(log_choose + m * np.log(y)[:, None]
-                             - big_l * np.log1p(y)[:, None]), axis=1)
-    # Past L + 10 sqrt(L) + 30, the tail of any x <= L is negligible.
-    j = np.arange(big_l, min(reach, big_l + int(np.ceil(10.0 * np.sqrt(big_l) + 30.0))))
-    tail = np.where(x > big_l, 1.0 - pois.sum(axis=1), np.exp(log_pois(j)).sum(axis=1))
-    return min(1.0, float(w @ (np.sum(pois * below, axis=1) + tail)))
+    return float(w @ cf1_survival(y, k - n + 1, beta * snr))
 
 
 def _brent(f, xa: float, xb: float, xtol: float, rtol: float, maxiter: int = 100) -> float:
@@ -552,17 +519,3 @@ def ecdf(values):
         raise ValueError("ecdf of empty sample is undefined")
     uniq, counts = np.unique(arr, return_counts=True)
     return uniq, np.cumsum(counts) / arr.size
-
-
-def ks_stat(samples, cdf) -> float:
-    """One-sample Kolmogorov-Smirnov sup distance against a callable CDF."""
-    from scipy import stats  # only validation needs it; kept off the CLI's import path
-
-    return float(stats.kstest(np.asarray(samples, dtype=float), cdf).statistic)
-
-
-def ks_2sample(a, b) -> float:
-    """Two-sample Kolmogorov-Smirnov sup distance."""
-    from scipy import stats
-
-    return float(stats.ks_2samp(np.asarray(a, dtype=float), np.asarray(b, dtype=float)).statistic)

@@ -14,16 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matkit import (
-    NotPositiveDefiniteError,
-    chol,
-    check_hermitian,
-    heig,
-    hermitian_part,
-    ortho_complement,
-    solve_hpd,
-    solve_lower,
-)
+from .matkit import NotPositiveDefiniteError, chol, check_hermitian, hermitian_part, ortho_complement, solve_hpd
 from .randkit import _generator, sample_cwishart
 from .scenario import whitened_quad
 
@@ -91,11 +82,6 @@ def _db_uniform(rng: np.random.Generator, half_width_db: float, size: int | None
     return 10.0 ** (rng.uniform(-half_width_db, half_width_db, size=size) / 10.0)
 
 
-def _right_div_conj(a: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """X with X @ m^H = a, for any nonsingular m."""
-    return np.linalg.solve(m.conj(), a.T).T
-
-
 def wishart_dof(spec: MismatchSpec, n: int) -> int | None:
     """Degrees of freedom of the variant's Wishart draw at dimension ``n``:
     ``nu`` for inv_wishart (needs nu > N), ``nu1`` for ger_chol (needs
@@ -125,14 +111,15 @@ def gen_sigma_t(stream, sigma: np.ndarray, v: np.ndarray, spec: MismatchSpec) ->
         nu = wishart_dof(spec, n)
         gamma = float(_db_uniform(rng, spec.delta_db))
         mu = gamma * (nu - n)  # E[inv(Wt)] = gamma * I
-        wt = sample_cwishart(rng, n, nu, np.eye(n, dtype=np.complex128) / np.sqrt(mu))
-        t = solve_lower(chol(wt), chol(sigma).conj().T)
+        wt = sample_cwishart(rng, n, nu, 1.0 / np.sqrt(mu))
+        t = np.linalg.solve(chol(wt), chol(sigma).conj().T)
         return hermitian_part(t.conj().T @ t), {"gamma": gamma}
 
     if spec.variant == "eig_jitter":
-        e = heig(sigma)
+        lam, vecs = np.linalg.eigh(sigma)
+        lam, vecs = lam[::-1], vecs[:, ::-1]
         gamma_n = _db_uniform(rng, spec.delta_db, size=n)  # paired with descending eigenvalues
-        sigma_t = (e.vectors * (e.values * gamma_n)) @ e.vectors.conj().T
+        sigma_t = (vecs * (lam * gamma_n)) @ vecs.conj().T
         return hermitian_part(sigma_t), {"gamma_n": gamma_n}
 
     if spec.variant == "ger_chol":
@@ -144,13 +131,12 @@ def gen_sigma_t(stream, sigma: np.ndarray, v: np.ndarray, spec: MismatchSpec) ->
         c = chol(hermitian_part(qv.conj().T @ sigma @ qv))
         gamma = float(_db_uniform(rng, spec.delta_db))
         # E[inv(Psi11)] = gamma * I and E[1/psi22] = gamma.
-        scale = np.eye(n - 1, dtype=np.complex128) / np.sqrt(gamma * (nu1 - n + 1))
-        psi11 = sample_cwishart(rng, n - 1, nu1, scale)
+        psi11 = sample_cwishart(rng, n - 1, nu1, 1.0 / np.sqrt(gamma * (nu1 - n + 1)))
         if spec.pin_psi22 is not None:
             psi22 = float(spec.pin_psi22)
         else:
             psi22 = float(rng.gamma(m2, 1.0) / (gamma * (m2 - 1)))
-        t = solve_lower(chol(psi11), np.eye(n - 1, dtype=np.complex128))
+        t = np.linalg.solve(chol(psi11), np.eye(n - 1, dtype=np.complex128))
         inv11 = hermitian_part(t.conj().T @ t)
         blk = np.zeros((n, n), dtype=np.complex128)
         blk[: n - 1, : n - 1] = inv11
@@ -159,17 +145,19 @@ def gen_sigma_t(stream, sigma: np.ndarray, v: np.ndarray, spec: MismatchSpec) ->
         return hermitian_part(sigma_t), {"gamma": gamma, "psi22": psi22}
 
     if spec.variant == "ger_eig":
-        e = heig(sigma)
+        lam, vecs = np.linalg.eigh(sigma)
+        lam, vecs = lam[::-1], vecs[:, ::-1]
         vperp = ortho_complement(v / np.linalg.norm(v))
         f = chol(hermitian_part(vperp.conj().T @ sigma @ vperp))
-        lam_sqrt = np.sqrt(e.values)
-        block = _right_div_conj(lam_sqrt[:, None] * (e.vectors.conj().T @ vperp), f)
-        y = (e.vectors.conj().T @ v) / lam_sqrt
+        lam_sqrt = np.sqrt(lam)
+        # block @ f^H = diag(lam_sqrt) V^H vperp
+        block = np.linalg.solve(f.conj(), (lam_sqrt[:, None] * (vecs.conj().T @ vperp)).T).T
+        y = (vecs.conj().T @ v) / lam_sqrt
         basis = np.hstack([block, (y / np.linalg.norm(y))[:, None]])
         l1 = _db_uniform(rng, spec.delta_db, size=n - 1)
         l2 = float(_db_uniform(rng, spec.delta_db))
         wt = (basis / np.concatenate([l1, [l2]])[None, :]) @ basis.conj().T
-        uls = e.vectors * lam_sqrt[None, :]
+        uls = vecs * lam_sqrt[None, :]
         return hermitian_part(uls @ wt @ uls.conj().T), {"l1": l1, "l2": l2}
 
     raise AssertionError(f"unhandled variant {spec.variant!r}")

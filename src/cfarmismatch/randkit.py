@@ -20,6 +20,7 @@ keys and hence independent streams regardless of worker count or draw order.
 from __future__ import annotations
 
 import hashlib
+import math
 import struct
 from dataclasses import dataclass, field
 
@@ -88,36 +89,73 @@ def standard_circular(rng: np.random.Generator, shape) -> np.ndarray:
     return z.view(np.complex128)[..., 0]
 
 
-def sample_cwishart(stream, n: int, dof: int, scale_factor: np.ndarray) -> np.ndarray:
-    """Draw from the complex Wishart CW(dof, G G^H) as G (Z Z^H) G^H.
+def sample_cwishart(stream, n: int, dof: int, scale: float) -> np.ndarray:
+    """Draw from the complex Wishart CW(dof, scale^2 I) as (scale Z)(scale Z)^H.
 
     Z is n x dof with standard circular entries; dof >= n keeps the result
     nonsingular with probability 1.
     """
     if dof < n:
         raise ValueError(f"Wishart dof {dof} < dimension {n}: sample would be singular")
-    rng = _generator(stream)
-    g = np.asarray(scale_factor, dtype=np.complex128)
-    if g.shape != (n, n):
-        raise ValueError(f"scale_factor shape {g.shape} does not match dimension {n}")
-    z = standard_circular(rng, (n, dof))
-    m = g @ z
+    m = scale * standard_circular(_generator(stream), (n, dof))
     w = m @ m.conj().T
     return 0.5 * (w + w.conj().T)
 
 
-def cf1_survival(t, q: int):
-    """P(F > t) for the central complex F with p=1: (1 + t)^(-q).
+def cf1_survival(t, q: int, delta=0.0):
+    """P(|sqrt(delta) + z|^2 / G > t), z standard circular, G ~ Gamma(q, 1):
+    the survival of the complex F(1, q) with noncentrality delta, elementwise
+    over broadcast ``t`` and ``delta``, clamped to [0, 1].
 
-    Closed form from E[exp(-t V)] with exponential numerator and
-    Gamma(q, 1) denominator; strictly decreasing in t.
+    Where delta is 0 it is (1 + t)^-q, computed as exp(-q log1p(t)).
+    Otherwise it is Kelly's (IEEE TAES 1986) sum_j Binom(j; q, t/(1+t))
+    P(j, x) with x = delta / (1+t) and P the regularized lower incomplete
+    gamma, that is P(Bin(q, t/(1+t)) <= Pois(x)). It is evaluated as the
+    Poisson mixture sum_{m<M} Pois(m; x) P(Bin(q, t/(1+t)) <= m)
+    + P(Pois(x) >= q). The binomial CDF is a running sum of its pmf,
+    C(q, m) t^m / (1+t)^q, with log C(q, m) a running sum of
+    log((q-i)/(i+1)). The Poisson tail is summed upward from q where x <= q,
+    so a small tail keeps its relative precision; where x > q it is at least
+    about 1/2, and is 1 minus the sum below q. The terms m >= M, with
+    M = min(q, ceil(x + 10 sqrt(x) + 30)) at the largest x of the call, and
+    the tail's beyond that point, hold at most P(Pois(x) >= M) <= 1e-20 and
+    are dropped, so time and memory stay bounded in q. That bound is
+    absolute, not relative: at q = 112, t = 40, delta = 300 the survival is
+    1.85e-76 and comes back as 1.6e-83. Only the integer shape q occurs, so
+    every special function is a finite sum over math.lgamma values.
     """
     t = np.asarray(t, dtype=float)
+    delta = np.asarray(delta, dtype=float)
     if np.any(t < 0):
         raise ValueError("t must be >= 0")
+    if not np.all((delta >= 0) & (delta < np.inf)):
+        raise ValueError("delta must be finite and >= 0")
     if q < 1:
         raise ValueError(f"dof q must be >= 1, got {q}")
-    out = (1.0 + t) ** (-float(q))
+    shape = np.broadcast_shapes(t.shape, delta.shape)
+    t = np.broadcast_to(t, shape).ravel()
+    x = np.broadcast_to(delta, shape).ravel() / (1.0 + t)
+    out = np.exp(-q * np.log1p(t))
+    mix = (x > 0) & (t > 0)
+    if np.any(mix):
+        y, x = t[mix], x[mix]
+        x_max = float(x.max())
+        reach = int(np.ceil(x_max + 10.0 * np.sqrt(x_max) + 30.0))
+        log_x = np.log(x)[:, None]
+
+        def log_pois(j):
+            return j * log_x - x[:, None] - np.array([math.lgamma(i + 1.0) for i in j])
+
+        m = np.arange(min(q, reach))
+        pois = np.exp(log_pois(m))
+        log_choose = np.concatenate(([0.0], np.cumsum(np.log((q - m[:-1]) / (m[:-1] + 1.0)))))
+        below = np.cumsum(np.exp(log_choose + m * np.log(y)[:, None]
+                                 - q * np.log1p(y)[:, None]), axis=1)
+        # Past q + 10 sqrt(q) + 30, the tail of any x <= q is negligible.
+        j = np.arange(q, min(reach, q + int(np.ceil(10.0 * np.sqrt(q) + 30.0))))
+        tail = np.where(x > q, 1.0 - pois.sum(axis=1), np.exp(log_pois(j)).sum(axis=1))
+        out[mix] = np.sum(pois * below, axis=1) + tail
+    out = np.clip(out, 0.0, 1.0).reshape(shape)
     return float(out) if out.ndim == 0 else out
 
 

@@ -357,6 +357,26 @@ def test_wishart_dof_at_or_below_the_bound_is_config_error(tmp_path, capsys, mon
     assert not out.exists()
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("cfg,field", [
+    ({"mismatch": {"variant": "inv_wishart", "delta_db": None}}, "mismatch/delta_db"),
+    ({"detectors": [{"kind": "kalson", "kappa": None}]}, "detectors/0/kappa"),
+    ({"clairvoyant_c": [None]}, "clairvoyant_c/0"),
+    ({"mismatch": {"variant": "ger_chol", "pin_psi22": None}}, "mismatch/pin_psi22"),
+])
+def test_non_finite_float_field_is_config_error(tmp_path, capsys, cfg, field, value):
+    # JSON as Python reads it admits NaN and Infinity; no float field may
+    # hold one, and the run stops before the output directory is made.
+    text = json.dumps(cfg).replace("null", json.dumps(value))
+    path = tmp_path / "cfg.json"
+    path.write_text(text)
+    out = tmp_path / "res"
+    assert main(["sweep", "--config", str(path), "--out", str(out), "--workers", "1"]) == 1
+    err = capsys.readouterr().err
+    assert "config error" in err and field in err and "finite" in err
+    assert not out.exists()
+
+
 def test_calibration_draws_one_trial_set_for_all_detectors(tmp_path, monkeypatch):
     # Three detectors share the 100 000 matched trials; one trial set each
     # would draw 300 000.

@@ -12,19 +12,18 @@ from cfarmismatch.config import (
     config_hash,
     from_dict,
     load_user_dict,
-    normalize,
 )
 from cfarmismatch.mismatch import MismatchSpec
 
 
 def test_empty_config_gets_defaults():
-    norm = normalize({})
+    norm = from_dict({}).normalized
     assert norm == DEFAULTS
     assert norm is not DEFAULTS
 
 
 def test_normalize_merges_nested_sections():
-    norm = normalize({"scenario": {"n": 8}, "trials": {"pfa": 5000}})
+    norm = from_dict({"scenario": {"n": 8}, "trials": {"pfa": 5000}}).normalized
     assert norm["scenario"]["n"] == 8
     assert norm["scenario"]["k"] == 32
     assert norm["trials"]["pfa"] == 5000
@@ -33,7 +32,7 @@ def test_normalize_merges_nested_sections():
 
 def test_normalize_does_not_mutate_input_or_defaults():
     user = {"scenario": {"n": 8}}
-    normalize(user)
+    from_dict(user)
     assert user == {"scenario": {"n": 8}}
     assert DEFAULTS["scenario"]["n"] == 16
 
@@ -50,7 +49,7 @@ def test_normalize_does_not_mutate_input_or_defaults():
 )
 def test_unknown_keys_rejected(bad):
     with pytest.raises(ConfigError, match="config invalid at "):
-        normalize(bad)
+        from_dict(bad)
 
 
 @pytest.mark.parametrize(
@@ -77,14 +76,14 @@ def test_unknown_keys_rejected(bad):
 )
 def test_schema_rejects_bad_values(bad):
     with pytest.raises(ConfigError, match="config invalid at "):
-        normalize(bad)
+        from_dict(bad)
 
 
 def test_error_message_names_the_location():
     with pytest.raises(ConfigError, match="scenario"):
-        normalize({"scenario": {"n": 1}})
+        from_dict({"scenario": {"n": 1}})
     with pytest.raises(ConfigError, match=r"\(top level\)"):
-        normalize({"unknown_key": 1})
+        from_dict({"unknown_key": 1})
 
 
 def test_from_dict_builds_typed_config():
@@ -130,8 +129,9 @@ def test_numbers_are_stored_as_their_field_type(tmp_path):
     cfg = from_dict({"scenario": {"n": 16.0, "cnr_db": 20}})
     assert type(cfg.scenario.n) is int and cfg.scenario.n == 16
     assert type(cfg.scenario.cnr_db) is float
-    assert config_hash(normalize({"seed": 7.0})) == config_hash(normalize({"seed": 7}))
-    assert config_hash(normalize({"scenario": {"n": 16.0, "cnr_db": 20}})) == config_hash(DEFAULTS)
+    seven = from_dict({"seed": 7}).normalized
+    assert config_hash(from_dict({"seed": 7.0}).normalized) == config_hash(seven)
+    assert config_hash(from_dict({"scenario": {"n": 16.0, "cnr_db": 20}}).normalized) == config_hash(DEFAULTS)
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"scenario": {"n": 16.0}, "detectors": [{"kind": "kelly"}],
                                 "pfa_target": 1e-2, "trials": {"calibration": 10_000}}))
@@ -171,25 +171,25 @@ def test_canonical_json_is_sorted_and_compact():
 
 
 def test_config_hash_ignores_key_order():
-    n1 = normalize({"seed": 3, "scenario": {"n": 8, "k": 24}})
-    n2 = normalize({"scenario": {"k": 24, "n": 8}, "seed": 3})
+    n1 = from_dict({"seed": 3, "scenario": {"n": 8, "k": 24}}).normalized
+    n2 = from_dict({"scenario": {"k": 24, "n": 8}, "seed": 3}).normalized
     assert config_hash(n1) == config_hash(n2)
     assert len(config_hash(n1)) == 64
     int(config_hash(n1), 16)
 
 
 def test_config_hash_sensitive_to_values():
-    n1 = normalize({"seed": 3})
-    n2 = normalize({"seed": 4})
+    n1 = from_dict({"seed": 3}).normalized
+    n2 = from_dict({"seed": 4}).normalized
     assert config_hash(n1) != config_hash(n2)
 
 
 def test_seed_must_fit_in_64_bits(tmp_path):
     # Stream keys mask the seed to 64 bits, so a larger seed would silently
     # replay another seed's streams under a different config hash.
-    assert normalize({"seed": 2**64 - 1})["seed"] == 2**64 - 1
+    assert from_dict({"seed": 2**64 - 1}).normalized["seed"] == 2**64 - 1
     with pytest.raises(ConfigError, match="seed"):
-        normalize({"seed": 2**64})
+        from_dict({"seed": 2**64})
     assert main(["calibrate", "--out", str(tmp_path), "--seed", str(2**64)]) == 1
 
 

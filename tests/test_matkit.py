@@ -5,11 +5,9 @@ import scipy.linalg as sla
 from cfarmismatch.matkit import (
     NotPositiveDefiniteError,
     chol,
-    heig,
     hermitian_part,
     ortho_complement,
     solve_hpd,
-    solve_lower,
 )
 
 
@@ -74,32 +72,6 @@ def test_hermitian_part_symmetrizes():
     assert np.abs(h - h.conj().T).max() == 0.0
 
 
-def test_heig_identity():
-    pair = heig(np.eye(4, dtype=complex))
-    assert np.abs(pair.values - 1.0).max() < 1e-14
-
-
-def test_heig_orders_descending():
-    pair = heig(np.diag([3.0, 1.0]).astype(complex))
-    assert np.allclose(pair.values, [3.0, 1.0])
-    a = np.diag([5.0, 2.0, 9.0, 1.0]).astype(complex)
-    vals = heig(a).values
-    assert (np.diff(vals) <= 0).all()
-
-
-def test_heig_trace_identity(rand_hpd):
-    a = rand_hpd(7, seed=12)
-    pair = heig(a)
-    assert abs(pair.values.sum() - np.trace(a).real) < 1e-10 * abs(np.trace(a).real)
-
-
-def test_heig_reconstructs(rand_hpd):
-    a = rand_hpd(5, seed=13)
-    pair = heig(a)
-    back = pair.vectors @ np.diag(pair.values) @ pair.vectors.conj().T
-    assert np.abs(back - a).max() < 1e-12
-
-
 def test_ortho_complement_canonical_axis():
     n = 5
     e_last = np.zeros(n, dtype=complex)
@@ -141,10 +113,3 @@ def test_solve_hpd_residual(rand_hpd):
     b = rng.standard_normal(6) + 1j * rng.standard_normal(6)
     x = solve_hpd(a, b)
     assert np.linalg.norm(a @ x - b) / np.linalg.norm(b) < 1e-10
-
-
-def test_solve_lower_matches_scipy(rand_hpd):
-    l = chol(rand_hpd(5, seed=17))
-    rng = np.random.default_rng(18)
-    b = rng.standard_normal((5, 3)) + 1j * rng.standard_normal((5, 3))
-    assert np.abs(solve_lower(l, b) - sla.solve_triangular(l, b, lower=True)).max() < 1e-13

@@ -124,6 +124,18 @@ def test_eig_jitter_shares_eigenvectors(sigma, steer):
     assert np.abs(comm).max() < 1e-8 * np.abs(sigma).max() * np.abs(st).max()
 
 
+def test_eig_jitter_pairs_gains_with_descending_eigenvalues(sigma, steer):
+    # Sigma_t = V diag(lam * gamma_n) V^H with lam descending: the pairing is
+    # part of the stream contract.
+    lam, vecs = np.linalg.eigh(sigma)
+    lam, vecs = lam[::-1], vecs[:, ::-1]
+    assert np.all(np.diff(lam) < 0)
+    for seed in (111, 112, 113):
+        st, meta = draw(StreamKey(seed), sigma, steer, "eig_jitter")
+        ratio = np.diag(vecs.conj().T @ st @ vecs).real / lam
+        assert np.allclose(ratio, meta["gamma_n"], rtol=1e-10, atol=0.0)
+
+
 def test_ger_eig_zero_width_reproduces_sigma(sigma, steer):
     st, _ = draw(StreamKey(110), sigma, steer, "ger_eig", delta_db=0.0)
     assert np.abs(st - sigma).max() < 1e-10 * np.abs(sigma).max()

@@ -85,28 +85,28 @@ def test_cwishart_mean_is_dof_times_scale():
     root = StreamKey(15)
     n_draws = 10_000
     for i in range(n_draws):
-        acc += sample_cwishart(root.child(i), 4, 16, np.eye(4, dtype=complex))
+        acc += sample_cwishart(root.child(i), 4, 16, 1.0)
     mean = acc / n_draws
     assert np.abs(mean - 16 * np.eye(4)).max() < 0.05 * 16
 
 
 def test_cwishart_scalar_case_is_gamma():
     root = StreamKey(16)
-    draws = np.array([sample_cwishart(root.child(i), 1, 8, np.eye(1, dtype=complex))[0, 0].real
+    draws = np.array([sample_cwishart(root.child(i), 1, 8, 1.0)[0, 0].real
                       for i in range(10_000)])
     d = sstats.kstest(draws, sstats.gamma(8).cdf).statistic
     assert d < 0.02
 
 
 def test_cwishart_output_is_hermitian_positive():
-    w = sample_cwishart(StreamKey(17), 5, 12, np.eye(5, dtype=complex))
+    w = sample_cwishart(StreamKey(17), 5, 12, 1.0)
     assert np.abs(w - w.conj().T).max() < 1e-12
     assert np.linalg.eigvalsh(w).min() > 0
 
 
 def test_cwishart_rejects_singular_dof():
     with pytest.raises(ValueError):
-        sample_cwishart(StreamKey(1), 4, 3, np.eye(4, dtype=complex))
+        sample_cwishart(StreamKey(1), 4, 3, 1.0)
 
 
 def test_cf1_survival_values():
@@ -117,6 +117,42 @@ def test_cf1_survival_values():
     ts = np.linspace(0.0, 3.0, 7)
     vals = cf1_survival(ts, 17)
     assert (np.diff(vals) < 0).all()
+
+
+# Grid fixed before the first comparison with scipy.
+NCF_Q = (1, 2, 17, 112, 5000)
+NCF_T = np.array([1e-3, 0.05, 0.5, 3.0, 40.0])
+NCF_DELTA = np.array([1e-12, 1e-6, 0.3, 3.0, 30.0, 300.0])
+
+
+@pytest.mark.parametrize("q", NCF_Q)
+def test_cf1_survival_matches_noncentral_f(q):
+    # |sqrt(delta) + z|^2 / G, with z standard circular and G ~ Gamma(q, 1), is
+    # the real F(2, 2q) with noncentrality 2 delta, divided by q. The dropped
+    # Poisson terms are bounded absolutely, hence the 1e-20 floor.
+    t, delta = NCF_T[:, None], NCF_DELTA[None, :]
+    ref = sstats.ncf.sf(q * t, 2, 2 * q, 2 * delta)
+    got = cf1_survival(t, q, delta)
+    assert got.shape == ref.shape
+    assert np.all(np.abs(got - ref) <= 1e-12 * ref + 1e-20)
+    assert np.all((got >= 0.0) & (got <= 1.0))
+    # A call's largest x sets its truncation point, so an array call and the
+    # scalar calls differ by at most 1e-20 plus one rounding of the sum.
+    scalar = np.array([[cf1_survival(ti, q, di) for di in NCF_DELTA] for ti in NCF_T])
+    assert np.all(np.abs(got - scalar) <= 1e-20 + np.finfo(float).eps * scalar)
+
+
+def test_cf1_survival_central_where_delta_is_zero():
+    t = np.array([0.0, 0.5, 3.0, 0.5, 0.0])
+    got = cf1_survival(t, 17, np.array([0.0, 0.0, 0.0, 3.0, 3.0]))
+    assert np.array_equal(got[:3], np.exp(-17 * np.log1p(t[:3])))
+    assert got[3] == cf1_survival(0.5, 17, 3.0) > got[1]
+    assert got[4] == 1.0
+    assert isinstance(cf1_survival(0.5, 17, 3.0), float)
+    with pytest.raises(ValueError):
+        cf1_survival(0.5, 17, -1.0)
+    with pytest.raises(ValueError):
+        cf1_survival(0.5, 17, np.inf)
 
 
 def test_beta_cdf_endpoints_and_uniform():
