@@ -30,11 +30,10 @@ from .mcengine import (
     PfaEstimate,
     SweepRow,
     ThresholdEntry,
-    _chunks,
     calibrate_entry,
     calibrate_snr,
     count_exceedances,
-    draw_pairs,
+    draw_trials,
     ecdf,
     kelly_threshold,
     nomismatch_sampler,
@@ -46,7 +45,7 @@ from .mismatch import MismatchSpec, check_ger, gen_sigma_t
 from .randkit import GENERATOR_ID, StreamKey, beta_cdf, cf1_survival
 from .report import step_curve, svg_plot, write_csv, write_json
 from .scenario import build_cov, build_steering
-from .storep import make_sampler, sample_pairs
+from .storep import make_sampler
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -165,7 +164,7 @@ def cmd_validate(cfg: RunConfig, workers: int, path: str, out: Path) -> int:
         f"target={cfg.pfa_target:.3e} limit=5 sigma",
     )
 
-    beta, t = sample_pairs(root.child(1), nomismatch_sampler(n, k), 100_000)
+    beta, t = draw_trials(root.child(1), nomismatch_sampler(n, k), 100_000)
     d_beta = stats.kstest(beta, lambda x: beta_cdf(k - n + 2, n - 1, np.clip(x, 0.0, 1.0))).statistic
     record("matched_beta_ks", d_beta < 0.006, f"D={d_beta:.5f} limit=0.006 n=100000")
     d_t = stats.kstest(t, lambda x: 1.0 - cf1_survival(np.clip(x, 0.0, None), q)).statistic
@@ -173,12 +172,11 @@ def cmd_validate(cfg: RunConfig, workers: int, path: str, out: Path) -> int:
 
     sigma_t, _ = gen_sigma_t(root.child(2), sigma, v, cfg.mismatch)
     m_side = 20_000
-    fb, ft = sample_pairs(root.child(3), make_sampler(sigma, sigma_t, v, 0.0, k), m_side)
-    setup = MisSetup(sigma=sigma, sigma_t=sigma_t, v=v, alpha_abs=0.0, k=k)
-    db, dt = zip(*(draw_pairs(root.child(4, ci), setup, size)
-                   for ci, size in _chunks(m_side, 4096)))
-    d1 = stats.ks_2samp(fb, np.concatenate(db)).statistic
-    d2 = stats.ks_2samp(ft, np.concatenate(dt)).statistic
+    fb, ft = draw_trials(root.child(3), make_sampler(sigma, sigma_t, v, 0.0, k), m_side)
+    db, dt = draw_trials(root.child(4), MisSetup(sigma=sigma, sigma_t=sigma_t, v=v,
+                                                  alpha_abs=0.0, k=k), m_side)
+    d1 = stats.ks_2samp(fb, db).statistic
+    d2 = stats.ks_2samp(ft, dt).statistic
     record(
         "oracle_equivalence",
         d1 < 0.02 and d2 < 0.02,
@@ -245,7 +243,7 @@ def cmd_cdf(cfg: RunConfig, workers: int, path: str, out: Path) -> int:
     for draw in range(cfg.n_cdf_draws):
         sigma_t, _ = gen_sigma_t(root.child(draw, 0), sigma, v, cfg.mismatch)
         sampler = make_sampler(sigma, sigma_t, v, 0.0, k)
-        beta, t = sample_pairs(root.child(draw, 1), sampler, m)
+        beta, t = draw_trials(root.child(draw, 1), sampler, m)
         for j in range(m):
             rows.append({"draw_id": draw, "beta": beta[j], "t_tilde": t[j]})
         bx, bf = ecdf(beta)

@@ -148,6 +148,8 @@ def from_dict(user: dict) -> RunConfig:
         _require((key,), norm[key] >= 1, f"must be >= 1, got {norm[key]}")
     for key in ("pfa_target", "pd_target"):
         _require((key,), 0 < norm[key] < 1, f"must be in (0, 1), got {norm[key]}")
+    _require(("pd_target",), norm["pd_target"] > norm["pfa_target"],
+             f"must exceed pfa_target={norm['pfa_target']}, got {norm['pd_target']}")
     need = calibration_trials(norm["pfa_target"])
     _require(("trials", "calibration"), trials.calibration >= need,
              f"trials.calibration={trials.calibration} is too small for "

@@ -1,13 +1,13 @@
 """Monte-Carlo engine: trial-free matched calibration, probability estimates, sweeps.
 
 Determinism contract: every experiment walks a stream-key tree whose path is
-(draw, purpose, chunk) with a fixed chunk size, and reductions are integer
-exceedance counts, so results are bitwise identical for any worker count.
+(draw, purpose, chunk), CHUNK trials per chunk on both paths, and reductions
+are integer exceedance counts, so results are bitwise identical for any worker
+count.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import hashlib
 import math
@@ -22,8 +22,8 @@ from .randkit import cf1_survival, wilson_ci
 from .scenario import ScenarioCfg, build_cov, build_steering, snr_to_alpha, whitened_quad
 from .storep import RepSampler, sample_pairs
 
-CHUNK_FAST = 1 << 16
-CHUNK_DIRECT = 1 << 11
+# Trials per chunk on both paths; no chunk's memory grows with a trial count.
+CHUNK = 1 << 11
 
 # Purpose labels inside one draw's stream subtree.
 _PURPOSE_SIGMA_T = 0
@@ -147,12 +147,10 @@ def kelly_threshold(pfa_target: float, n: int, k: int) -> float:
     return float(pfa_target ** (-1.0 / (k - n + 1)) - 1.0)
 
 
-def _chunks(n_total: int, chunk: int):
-    full, rem = divmod(n_total, chunk)
-    out = [(i, chunk) for i in range(full)]
-    if rem:
-        out.append((full, rem))
-    return out
+def _chunks(stream, n_trials: int):
+    """(stream.child(ci), size) of each CHUNK-trial chunk of ``n_trials`` trials."""
+    return [(stream.child(ci), min(CHUNK, n_trials - start))
+            for ci, start in enumerate(range(0, n_trials, CHUNK))]
 
 
 # One worker pool per process, as (workers, executor), reused across calls
@@ -199,6 +197,12 @@ def draw_pairs(stream, source, size: int):
     return pairs_from_raw(*raw_stats_batch(x, factor, source.v))
 
 
+def draw_trials(stream, source, n_trials: int):
+    """(beta, t_tilde) arrays of the ``n_trials`` trials that ``_count`` scores."""
+    beta, t = zip(*(draw_pairs(s, source, size) for s, size in _chunks(stream, n_trials)))
+    return np.concatenate(beta), np.concatenate(t)
+
+
 def _count_chunk(args):
     stream, source, scores, size = args
     beta, t = draw_pairs(stream, source, size)
@@ -209,11 +213,10 @@ def _count_chunk(args):
 def _count(stream, source, scores, n_trials: int, workers: int = 1) -> list[int]:
     """Exceedance counts of every (kind, threshold) in ``scores`` on shared trials.
 
-    Chunk ``ci`` of ``n_trials`` draws from ``stream.child(ci)``; the chunk
-    size is fixed by the source type, so counts never depend on ``workers``.
+    Chunk ``ci`` draws from ``stream.child(ci)``, CHUNK trials whatever the
+    source (the last: the rest), so counts never depend on ``workers``.
     """
-    chunk = CHUNK_FAST if isinstance(source, RepSampler) else CHUNK_DIRECT
-    args = [(stream.child(ci), source, scores, size) for ci, size in _chunks(n_trials, chunk)]
+    args = [(s, source, scores, size) for s, size in _chunks(stream, n_trials)]
     return [sum(col) for col in zip(*_map_chunks(_count_chunk, args, workers))]
 
 
@@ -353,10 +356,10 @@ def calibrate_entry(stream, kinds, n: int, k: int, pfa_target: float,
     the achieved false-alarm rate over ``n_trials`` matched trials.
 
     The matched law of (beta, t_tilde) has no parameters, so one trial set
-    serves every detector: chunk ci is drawn from ``stream.child(ci)``, and
-    the trials drawn do not depend on the number of detectors. Each detector's
-    achieved count must be ``within_five_sigma`` of the target, else the error
-    names the detector.
+    serves every detector: chunk ci of ``_count``'s CHUNK grid is drawn from
+    ``stream.child(ci)``, and the trials drawn do not depend on the number of
+    detectors or workers. Each detector's achieved count must be
+    ``within_five_sigma`` of the target, else the error names the detector.
     """
     required = calibration_trials(pfa_target)
     if n_trials < required:
@@ -422,16 +425,15 @@ def _sweep_draw(args):
         n = sigma.shape[0]
         sigma_t, meta = gen_sigma_t(draw_stream.child(_PURPOSE_SIGMA_T), sigma, v, mspec)
         om = omega_decompose(sigma, sigma_t, v, v_quad)
-        base = RepSampler(n=n, k=k, lam=om.lam, b=om.b, r=om.schur, gamma_t=0.0)
         digest = meta_digest(meta, om.schur)
 
         def source(alpha_abs):
             if path == "fast":
-                return dataclasses.replace(base, gamma_t=alpha_abs**2 * om.vt_quad)
+                return RepSampler(n, k, om.lam, om.b, om.schur, alpha_abs**2 * om.vt_quad)
             return MisSetup(sigma=sigma, sigma_t=sigma_t, v=v, alpha_abs=alpha_abs, k=k)
 
         kinds = [plan.resolve(om.schur) for plan in plans]
-        counts = _count(draw_stream.child(_PURPOSE_H0), base if path == "fast" else source(0.0),
+        counts = _count(draw_stream.child(_PURPOSE_H0), source(0.0),
                         tuple((kd, plan.threshold) for kd, plan in zip(kinds, plans)), n_trials)
 
         rows = []

@@ -357,6 +357,24 @@ def test_wishart_dof_at_or_below_the_bound_is_config_error(tmp_path, capsys, mon
     assert not out.exists()
 
 
+@pytest.mark.parametrize("pd_target", [0.005, 0.01])
+def test_pd_target_at_or_below_pfa_target_is_config_error(tmp_path, capsys, monkeypatch,
+                                                          pd_target):
+    # No SNR brings P_d down to P_fa, so the run must stop before the
+    # calibration cross-check, and before the output directory is made.
+    def no_trials(*args):
+        raise AssertionError("a trial was drawn")
+
+    monkeypatch.setattr(mcengine, "draw_pairs", no_trials)
+    cfg = {"pfa_target": 0.01, "pd_target": pd_target, "trials": {"calibration": 10_000}}
+    path = write_cfg(tmp_path, "cfg.json", cfg)
+    out = tmp_path / "res"
+    assert main(["roc", "--config", path, "--out", str(out), "--workers", "1"]) == 1
+    err = capsys.readouterr().err
+    assert "config error" in err and "pd_target" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
 @pytest.mark.parametrize("cfg,field", [
     ({"mismatch": {"variant": "inv_wishart", "delta_db": None}}, "mismatch/delta_db"),

@@ -372,6 +372,41 @@ def test_count_exceedances_worker_count_is_immaterial():
     assert a == b
 
 
+@pytest.mark.parametrize("path", ["fast", "direct"])
+def test_both_sources_walk_one_chunk_grid(sigma, steer, monkeypatch, path):
+    source = nomismatch_sampler(N, K) if path == "fast" else setup_for(sigma, sigma, steer)
+    stream, n_trials = StreamKey(437), 2 * mcengine.CHUNK + 5
+    calls = []
+    draw = mcengine.draw_pairs
+
+    def recorded(chunk_stream, chunk_source, size):
+        calls.append((chunk_stream, size))
+        return draw(chunk_stream, chunk_source, size)
+
+    monkeypatch.setattr(mcengine, "draw_pairs", recorded)
+    count_exceedances(stream, KELLY, kelly_threshold(1e-2, N, K), source, n_trials)
+    grid = [(stream.child(ci), size)
+            for ci, size in enumerate([mcengine.CHUNK, mcengine.CHUNK, 5])]
+    assert calls == grid
+    beta, t = mcengine.draw_trials(stream, source, n_trials)
+    pairs = [draw(chunk_stream, source, size) for chunk_stream, size in grid]
+    assert np.array_equal(beta, np.concatenate([b for b, _ in pairs]))
+    assert np.array_equal(t, np.concatenate([tt for _, tt in pairs]))
+
+
+def test_count_memory_is_bounded_in_trial_count():
+    # One chunk of matched trials at N=64 holds CHUNK x 63 exponentials, about
+    # 1 MB; a chunk that grew with the trial count would hold 2^17 x 63.
+    eta = kelly_threshold(1e-2, 64, 128)
+    tracemalloc.start()
+    try:
+        count_exceedances(StreamKey(438), KELLY, eta, nomismatch_sampler(64, 128), 1 << 17)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6
+
+
 @pytest.mark.parametrize("variant", ["identity", "inv_wishart", "eig_jitter", "ger_chol"])
 def test_fast_and_direct_paths_agree_in_probability(sigma, steer, variant):
     st, _ = gen_sigma_t(StreamKey(409), sigma, steer, MismatchSpec(variant, 6.0))
