@@ -36,6 +36,8 @@ from .mcengine import (
     draw_trials,
     ecdf,
     kelly_threshold,
+    ks_distance,
+    ks_distance_2samp,
     nomismatch_sampler,
     shutdown_pool,
     sweep,
@@ -140,8 +142,6 @@ def _print(msg: str) -> None:
 
 
 def cmd_validate(cfg: RunConfig, workers: int, path: str, out: Path) -> int:
-    from scipy import stats  # only validation needs it; kept off the run path
-
     sc = cfg.scenario
     n, k = sc.n, sc.k
     sigma = build_cov(sc)
@@ -165,9 +165,9 @@ def cmd_validate(cfg: RunConfig, workers: int, path: str, out: Path) -> int:
     )
 
     beta, t = draw_trials(root.child(1), nomismatch_sampler(n, k), 100_000)
-    d_beta = stats.kstest(beta, lambda x: beta_cdf(k - n + 2, n - 1, np.clip(x, 0.0, 1.0))).statistic
+    d_beta = ks_distance(beta, lambda x: beta_cdf(k - n + 2, n - 1, np.clip(x, 0.0, 1.0)))
     record("matched_beta_ks", d_beta < 0.006, f"D={d_beta:.5f} limit=0.006 n=100000")
-    d_t = stats.kstest(t, lambda x: 1.0 - cf1_survival(np.clip(x, 0.0, None), q)).statistic
+    d_t = ks_distance(t, lambda x: 1.0 - cf1_survival(np.clip(x, 0.0, None), q))
     record("matched_t_ks", d_t < 0.006, f"D={d_t:.5f} limit=0.006 n=100000")
 
     sigma_t, _ = gen_sigma_t(root.child(2), sigma, v, cfg.mismatch)
@@ -175,8 +175,8 @@ def cmd_validate(cfg: RunConfig, workers: int, path: str, out: Path) -> int:
     fb, ft = draw_trials(root.child(3), make_sampler(sigma, sigma_t, v, 0.0, k), m_side)
     db, dt = draw_trials(root.child(4), MisSetup(sigma=sigma, sigma_t=sigma_t, v=v,
                                                   alpha_abs=0.0, k=k), m_side)
-    d1 = stats.ks_2samp(fb, db).statistic
-    d2 = stats.ks_2samp(ft, dt).statistic
+    d1 = ks_distance_2samp(fb, db)
+    d2 = ks_distance_2samp(ft, dt)
     record(
         "oracle_equivalence",
         d1 < 0.02 and d2 < 0.02,
@@ -406,7 +406,8 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    workers = args.workers if args.workers is not None else _available_cpus()
+    # Outputs do not depend on the worker count; workers past the CPUs only cost processes.
+    workers = _available_cpus() if args.workers is None else min(args.workers, _available_cpus())
     if workers < 1:
         print("config error: --workers must be >= 1", file=sys.stderr)
         return EXIT_CONFIG

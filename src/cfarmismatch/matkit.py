@@ -1,8 +1,7 @@
 """Complex Hermitian linear-algebra kernels with explicit accuracy contracts.
 
 Everything here is a thin, contract-checked wrapper over LAPACK through
-numpy alone, so importing it loads no scipy; no inverse is ever formed
-explicitly.
+numpy; no inverse is ever formed explicitly.
 """
 
 from __future__ import annotations

@@ -521,3 +521,18 @@ def ecdf(values):
         raise ValueError("ecdf of empty sample is undefined")
     uniq, counts = np.unique(arr, return_counts=True)
     return uniq, np.cumsum(counts) / arr.size
+
+
+def ks_distance(sample, cdf) -> float:
+    """Kolmogorov-Smirnov distance sup |F_n - F| of a sample from the continuous CDF ``cdf``."""
+    x, f = ecdf(sample)
+    g = cdf(x)
+    return float(max(np.max(f - g), np.max(g - np.concatenate(([0.0], f[:-1])))))
+
+
+def ks_distance_2samp(a, b) -> float:
+    """Two-sample Kolmogorov-Smirnov distance sup |F_a - F_b|, taken over the pooled values."""
+    curves = [ecdf(a), ecdf(b)]
+    pooled = np.concatenate([x for x, _ in curves])
+    fa, fb = (np.append(0.0, f)[np.searchsorted(x, pooled, side="right")] for x, f in curves)
+    return float(np.max(np.abs(fa - fb)))

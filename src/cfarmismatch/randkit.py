@@ -102,6 +102,15 @@ def sample_cwishart(stream, n: int, dof: int, scale: float) -> np.ndarray:
     return 0.5 * (w + w.conj().T)
 
 
+def _binom_cdfs(q: int, terms: int, log_odds, log1p_odds):
+    """P(Bin(q, p) <= m) for m < terms, one row per odds y = p / (1-p), given
+    as log(y) and log1p(y): a running sum of the pmf C(q, m) y^m / (1+y)^q,
+    with log C(q, m) a running sum of log((q-i)/(i+1))."""
+    m = np.arange(terms)
+    log_choose = np.concatenate(([0.0], np.cumsum(np.log((q - m[:-1]) / (m[:-1] + 1.0)))))
+    return np.cumsum(np.exp(log_choose + m * log_odds[:, None] - q * log1p_odds[:, None]), axis=1)
+
+
 def cf1_survival(t, q: int, delta=0.0):
     """P(|sqrt(delta) + z|^2 / G > t), z standard circular, G ~ Gamma(q, 1):
     the survival of the complex F(1, q) with noncentrality delta, elementwise
@@ -112,11 +121,10 @@ def cf1_survival(t, q: int, delta=0.0):
     P(j, x) with x = delta / (1+t) and P the regularized lower incomplete
     gamma, that is P(Bin(q, t/(1+t)) <= Pois(x)). It is evaluated as the
     Poisson mixture sum_{m<M} Pois(m; x) P(Bin(q, t/(1+t)) <= m)
-    + P(Pois(x) >= q). The binomial CDF is a running sum of its pmf,
-    C(q, m) t^m / (1+t)^q, with log C(q, m) a running sum of
-    log((q-i)/(i+1)). The Poisson tail is summed upward from q where x <= q,
-    so a small tail keeps its relative precision; where x > q it is at least
-    about 1/2, and is 1 minus the sum below q. The terms m >= M, with
+    + P(Pois(x) >= q), with the binomial CDF from ``_binom_cdfs``. The
+    Poisson tail is summed upward from q where x <= q, so a small tail keeps
+    its relative precision; where x > q it is at least about 1/2, and is
+    1 minus the sum below q. The terms m >= M, with
     M = min(q, ceil(x + 10 sqrt(x) + 30)) at the largest x of the call, and
     the tail's beyond that point, hold at most P(Pois(x) >= M) <= 1e-20 and
     are dropped, so time and memory stay bounded in q. That bound is
@@ -148,9 +156,7 @@ def cf1_survival(t, q: int, delta=0.0):
 
         m = np.arange(min(q, reach))
         pois = np.exp(log_pois(m))
-        log_choose = np.concatenate(([0.0], np.cumsum(np.log((q - m[:-1]) / (m[:-1] + 1.0)))))
-        below = np.cumsum(np.exp(log_choose + m * np.log(y)[:, None]
-                                 - q * np.log1p(y)[:, None]), axis=1)
+        below = _binom_cdfs(q, m.size, np.log(y), np.log1p(y))
         # Past q + 10 sqrt(q) + 30, the tail of any x <= q is negligible.
         j = np.arange(q, min(reach, q + int(np.ceil(10.0 * np.sqrt(q) + 30.0))))
         tail = np.where(x > q, 1.0 - pois.sum(axis=1), np.exp(log_pois(j)).sum(axis=1))
@@ -159,17 +165,21 @@ def cf1_survival(t, q: int, delta=0.0):
     return float(out) if out.ndim == 0 else out
 
 
-def beta_cdf(a: float, b: float, x):
-    """Regularized incomplete beta I_x(a, b), the Beta(a, b) CDF."""
-    from scipy import special  # only validate and cdf need it; kept off the run path
-
-    if a <= 0 or b <= 0:
-        raise ValueError(f"beta parameters must be positive, got a={a}, b={b}")
+def beta_cdf(a: int, b: int, x):
+    """Regularized incomplete beta I_x(a, b), the Beta(a, b) CDF, for integer
+    shapes: P(Bin(a+b-1, 1-x) <= b-1), whose odds are (1-x)/x, clamped to 1."""
+    if not (float(a).is_integer() and float(b).is_integer() and a >= 1 and b >= 1):
+        raise ValueError(f"beta shapes must be positive integers, got a={a}, b={b}")
     x = np.asarray(x, dtype=float)
-    if np.any((x < 0) | (x > 1)):
+    if not np.all((x >= 0) & (x <= 1)):
         raise ValueError("x must lie in [0, 1]")
-    out = special.betainc(a, b, x)
-    return float(out) if out.ndim == 0 else out
+    flat = x.ravel()
+    out = (flat == 1).astype(float)
+    inner = (flat > 0) & (flat < 1)
+    log_x = np.log(flat[inner])
+    cdf = _binom_cdfs(int(a + b) - 1, int(b), np.log1p(-flat[inner]) - log_x, -log_x)[:, -1]
+    out[inner] = np.minimum(cdf, 1.0)
+    return float(out[0]) if x.ndim == 0 else out.reshape(x.shape)
 
 
 def wilson_ci(k: int, n: int) -> tuple[float, float]:

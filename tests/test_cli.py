@@ -414,7 +414,9 @@ def test_calibration_draws_one_trial_set_for_all_detectors(tmp_path, monkeypatch
     assert sum(drawn) == 100_000
 
 
-def test_thresholds_are_byte_identical_across_worker_counts(tmp_path):
+def test_thresholds_are_byte_identical_across_worker_counts(tmp_path, monkeypatch):
+    # --workers is clamped to the CPUs; report 3 so that 3 workers really run.
+    monkeypatch.setattr(cli, "_available_cpus", lambda: 3)
     cfg = {"seed": 917,
            "detectors": [{"kind": "kelly"}, {"kind": "amf"}, {"kind": "kalson", "kappa": 2.0}],
            "pfa_target": 1e-2, "trials": {"calibration": 200_000}}
@@ -429,7 +431,9 @@ def test_thresholds_are_byte_identical_across_worker_counts(tmp_path):
     assert files[2] == files[0]
 
 
-def test_roc_direct_is_byte_identical_across_worker_counts(tmp_path):
+def test_roc_direct_is_byte_identical_across_worker_counts(tmp_path, monkeypatch):
+    # --workers is clamped to the CPUs; report 3 so that 3 workers really run.
+    monkeypatch.setattr(cli, "_available_cpus", lambda: 3)
     cfg = {"seed": 919, "mismatch": {"variant": "inv_wishart", "delta_db": 6.0},
            "detectors": [{"kind": "kelly"}, {"kind": "amf"}], "n_draws": 3,
            "pfa_target": 1e-2, "pd_target": 0.5,
@@ -456,6 +460,56 @@ def test_default_workers_follow_the_affinity_mask(tmp_path, monkeypatch):
     cfg = {"detectors": [{"kind": "kelly"}], "pfa_target": 1e-2, "trials": {"calibration": 10_000}}
     path = write_cfg(tmp_path, "cfg.json", cfg)
     assert main(["calibrate", "--config", path, "--out", str(tmp_path / "res")]) == 0
+
+
+def test_workers_are_clamped_to_the_available_cpus(tmp_path, monkeypatch):
+    # The fake pool starts no process: it records its size and runs the tasks
+    # in process, so an unclamped --workers 100000 costs nothing here.
+    mcengine.shutdown_pool()
+    sizes = []
+
+    class InProcessPool:
+        _broken = False
+
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def map(self, fn, args_list, chunksize=1):
+            return map(fn, args_list)
+
+        def shutdown(self):
+            pass
+
+    monkeypatch.setattr(mcengine, "ProcessPoolExecutor", InProcessPool)
+    cfg = {"detectors": [{"kind": "kelly"}], "pfa_target": 1e-2, "trials": {"calibration": 10_000}}
+    path = write_cfg(tmp_path, "cfg.json", cfg)
+    assert main(["calibrate", "--config", path, "--out", str(tmp_path / "res"),
+                 "--workers", "100000"]) == 0
+    cpus = cli._available_cpus()
+    assert sizes == ([cpus] if cpus > 1 else [])
+
+
+def test_every_command_runs_with_scipy_unimportable(tmp_path):
+    cfg = {"seed": 923, "mismatch": {"variant": "inv_wishart", "delta_db": 6.0},
+           "detectors": [{"kind": "kelly"}, {"kind": "amf"}], "n_draws": 2, "n_cdf_draws": 2,
+           "pfa_target": 1e-2, "pd_target": 0.5,
+           "trials": {"calibration": 10_000, "pfa": 2_000, "pd": 2_000, "cdf_samples": 2_000}}
+    path = write_cfg(tmp_path, "cfg.json", cfg)
+    code = f"""
+import sys
+sys.modules["scipy"] = None  # any import of scipy or a submodule now raises ImportError
+from cfarmismatch.cli import main
+runs = [["validate"], ["calibrate"], ["cdf"], ["sweep"], ["roc", "--path", "direct"]]
+for i, run in enumerate(runs):
+    code = main(run + ["--config", {path!r}, "--out", {str(tmp_path)!r} + f"/r{{i}}",
+                       "--workers", "1"])
+    assert code == 0, (run, code)
+"""
+    env = {**os.environ, "PYTHONPATH": str(Path(cfarmismatch.__file__).parents[1])}
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, timeout=300)
+    assert res.returncode == 0, res.stderr
+    assert all((tmp_path / f"r{i}").is_dir() for i in range(5))
 
 
 def test_cli_import_leaves_scipy_stats_unloaded():

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import itertools
 import re
 import tracemalloc
@@ -21,6 +22,8 @@ from cfarmismatch.mcengine import (
     draw_pairs,
     ecdf,
     kelly_threshold,
+    ks_distance,
+    ks_distance_2samp,
     matched_exceedance,
     meta_digest,
     nomismatch_sampler,
@@ -639,6 +642,24 @@ def test_ecdf_self_consistency_against_beta_law():
     vals, fracs = ecdf(samples)
     ref = beta_cdf(K - N + 2, N - 1, vals)
     assert np.abs(fracs - ref).max() < 0.006
+
+
+def test_ks_distances_match_scipy():
+    # 200 pairs fixed before the first run; every other pair is rounded to two
+    # decimals so that values tie within and across samples. scipy's exact
+    # two-sample mode (samples up to 10 000) rounds its statistic to a multiple
+    # of 1/lcm(n1, n2), hence two ulps at 1 rather than equality.
+    rng = np.random.default_rng(2024)
+    cdf = functools.partial(beta_cdf, 18, 15)
+    for i in range(200):
+        n1, n2 = rng.integers(1, 3000, size=2)
+        a, b = rng.beta(18, 15, n1), rng.beta(18, 15.5, n2)
+        if i % 2:
+            a, b = np.round(a, 2), np.round(b, 2)
+        assert abs(ks_distance(a, cdf) - sstats.kstest(a, cdf).statistic) <= 4.4e-16
+        assert abs(ks_distance_2samp(a, b) - sstats.ks_2samp(a, b).statistic) <= 4.4e-16
+    assert ks_distance([0.5], lambda x: x) == 0.5
+    assert ks_distance_2samp([1.0, 2.0], [3.0]) == 1.0
 
 
 def test_meta_digest_formats_scalars_and_hashes_vectors():

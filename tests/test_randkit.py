@@ -3,6 +3,7 @@ import struct
 
 import numpy as np
 import pytest
+from scipy import special
 from scipy import stats as sstats
 
 from cfarmismatch import randkit
@@ -156,11 +157,36 @@ def test_cf1_survival_central_where_delta_is_zero():
 
 
 def test_beta_cdf_endpoints_and_uniform():
-    assert beta_cdf(2.5, 3.5, 0.0) == 0.0
-    assert beta_cdf(2.5, 3.5, 1.0) == 1.0
+    assert beta_cdf(3, 4, 0.0) == 0.0
+    assert beta_cdf(3, 4, 1.0) == 1.0
+    assert beta_cdf(18, 15, np.zeros((2, 3))).shape == (2, 3)
     x = np.linspace(0.0, 1.0, 11)
     assert np.abs(beta_cdf(1.0, 1.0, x) - x).max() < 1e-14
     assert np.abs(beta_cdf(2.0, 1.0, x) - x**2).max() < 1e-14
+    for a, b in ((2.5, 3), (3, 3.5), (0, 3), (3, 0), (np.inf, 3)):
+        with pytest.raises(ValueError, match="positive integers"):
+            beta_cdf(a, b, 0.5)
+    for bad in (-0.1, 1.1, np.nan):
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            beta_cdf(3, 4, bad)
+
+
+# Shapes and grid fixed before the first comparison with scipy: 2001 evenly
+# spaced points plus 300 log-spaced ones near each end.
+BETA_SHAPES = ((1, 1), (2, 1), (1, 2), (18, 15), (114, 15), (5001, 15), (113, 63), (500, 255))
+BETA_X = np.concatenate((np.linspace(0.0, 1.0, 2001), np.logspace(-300.0, -1.0, 300),
+                         1.0 - np.logspace(-16.0, -1.0, 300)))
+
+
+@pytest.mark.parametrize("a,b", BETA_SHAPES)
+def test_beta_cdf_matches_scipy_betainc(a, b):
+    # The binomial sum has only positive terms, so it keeps its relative
+    # precision down to values far below any threshold the package uses.
+    ref = special.betainc(a, b, BETA_X)
+    got = beta_cdf(a, b, BETA_X)
+    big = ref > 1e-250
+    assert np.all(np.abs(got - ref)[big] <= 1e-12 * ref[big])
+    assert np.all((got >= 0.0) & (got <= 1.0))
 
 
 def test_wilson_ci_zero_count_upper_bound():
