@@ -30,6 +30,7 @@ from .mcengine import (
     PfaEstimate,
     SweepRow,
     ThresholdEntry,
+    available_cpus,
     calibrate_entry,
     calibrate_snr,
     count_exceedances,
@@ -386,14 +387,6 @@ _COMMANDS = {
 }
 
 
-def _available_cpus() -> int:
-    """CPUs this process may run on: its affinity mask where the platform has
-    one, else the host's count."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -406,8 +399,8 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    # Outputs do not depend on the worker count; workers past the CPUs only cost processes.
-    workers = _available_cpus() if args.workers is None else min(args.workers, _available_cpus())
+    # The engine starts at most one worker per available CPU, whatever is asked.
+    workers = available_cpus() if args.workers is None else args.workers
     if workers < 1:
         print("config error: --workers must be >= 1", file=sys.stderr)
         return EXIT_CONFIG

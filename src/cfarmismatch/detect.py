@@ -87,13 +87,18 @@ def raw_stats(x, xt, v):
     return s1, s2
 
 
-def raw_stats_batch(x, factor, v):
+def raw_stats_batch(x, factor, v, *alphas):
     """Vectorized raw_stats from the packed factor of ``gen_data_batch``:
     (Gt A)^-1 = A^-1 Gt^-1, so x and v are whitened by Gt once, then A is
     forward-substituted. Both substitutions run row by row, vectorized
     across trials, into column-major buffers, where one coordinate of every
     trial is contiguous; row i of A, in row-major tril order, is the contiguous
     ``off[:, i(i-1)/2 : i(i-1)/2 + i]``.
+
+    Returns (s1, s2), then s2 of the data x + alpha v for each alpha in
+    ``alphas``. The solves are linear: a = A^-1 Gt^-1 x moves to a + alpha b,
+    with b = A^-1 Gt^-1 v, so s2 becomes |a^H b + alpha ||b||^2|^2 / ||b||^2,
+    while s1 - s2, the part of ||a||^2 off b, and with it beta, stays.
     """
     gt, off, diag = factor
     n = x.shape[1]
@@ -109,8 +114,8 @@ def raw_stats_batch(x, factor, v):
         b[:, i] = (vw[i] - np.einsum("mj,mj->m", row, b[:, :i])) / diag[:, i]
     s1 = np.einsum("mi,mi->m", a.conj(), a).real
     bb = np.einsum("mi,mi->m", b.conj(), b).real
-    s2 = np.abs(np.einsum("mi,mi->m", a.conj(), b)) ** 2 / bb
-    return s1, s2
+    ab = np.einsum("mi,mi->m", a.conj(), b)
+    return (s1, *(np.abs(ab + alpha * bb) ** 2 / bb for alpha in (0.0, *alphas)))
 
 
 def pairs_from_raw(s1, s2):

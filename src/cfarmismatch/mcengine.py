@@ -1,9 +1,9 @@
 """Monte-Carlo engine: trial-free matched calibration, probability estimates, sweeps.
 
 Determinism contract: every experiment walks a stream-key tree whose path is
-(draw, purpose, chunk), CHUNK trials per chunk on both paths, and reductions
-are integer exceedance counts, so results are bitwise identical for any worker
-count.
+(draw, purpose, chunk), CHUNK trials per chunk on both paths, pool tasks are
+fixed runs of chunks, and reductions are integer exceedance counts, so results
+are bitwise identical for any worker count.
 """
 
 from __future__ import annotations
@@ -11,6 +11,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -25,10 +26,9 @@ from .storep import RepSampler, sample_pairs
 # Trials per chunk on both paths; no chunk's memory grows with a trial count.
 CHUNK = 1 << 11
 
-# Purpose labels inside one draw's stream subtree.
+# Purpose labels inside one draw's stream subtree (2 is retired).
 _PURPOSE_SIGMA_T = 0
 _PURPOSE_H0 = 1
-_PURPOSE_H1 = 2
 
 @dataclass(frozen=True)
 class PfaEstimate:
@@ -147,10 +147,12 @@ def kelly_threshold(pfa_target: float, n: int, k: int) -> float:
     return float(pfa_target ** (-1.0 / (k - n + 1)) - 1.0)
 
 
-def _chunks(stream, n_trials: int):
-    """(stream.child(ci), size) of each CHUNK-trial chunk of ``n_trials`` trials."""
-    return [(stream.child(ci), min(CHUNK, n_trials - start))
-            for ci, start in enumerate(range(0, n_trials, CHUNK))]
+def _chunks(stream, n_trials: int, n_more: int = 0):
+    """(stream.child(ci), size) of each CHUNK-trial chunk of ``n_trials`` trials,
+    then of ``n_more`` trials more on the chunks that follow, so the first
+    ``n_trials`` trials never depend on ``n_more``."""
+    sizes = [min(CHUNK, n - start) for n in (n_trials, n_more) for start in range(0, n, CHUNK)]
+    return [(stream.child(ci), size) for ci, size in enumerate(sizes)]
 
 
 # One worker pool per process, as (workers, executor), reused across calls
@@ -163,10 +165,25 @@ _pool = None
 # worker for load balance, and the parent pays far fewer round trips.
 _TASKS_PER_WORKER = 16
 
+# Chunks of one count per pool task. The number is fixed, so the tasks, like
+# the counts, do not depend on the worker count.
+_CHUNKS_PER_TASK = 8
+
+
+def available_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the platform has
+    one, else the host's count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
 
 def _map_chunks(fn, args_list, workers: int):
-    """``[fn(a) for a in args_list]``, in order, on ``workers`` processes."""
+    """``[fn(a) for a in args_list]``, in order, on ``workers`` processes, at
+    most ``available_cpus()`` of them: results do not depend on the worker
+    count, and processes past the CPUs only cost memory."""
     global _pool
+    workers = min(workers, available_cpus())
     if workers <= 1:
         return [fn(a) for a in args_list]
     if _pool is None or _pool[0] != workers or _pool[1]._broken:
@@ -184,17 +201,22 @@ def shutdown_pool() -> None:
         _pool = None
 
 
-def draw_pairs(stream, source, size: int):
-    """(beta, t_tilde) arrays for one chunk of trials.
+def draw_pairs(stream, source, size: int, *shifts):
+    """(beta, t_tilde) arrays for one chunk of trials, then t_tilde of the same
+    trials with a signal of each amplitude in ``shifts`` added.
 
-    ``source`` is a RepSampler (fast path: the representation sampler) or a
-    MisSetup (direct path: test vector and sample-covariance factor).
+    ``source`` is a RepSampler (fast path: the representation sampler; a
+    shift is sqrt(gamma_t)) or a MisSetup (direct path: test vector and
+    sample-covariance factor; a shift is the amplitude alpha of the data).
+    The signal leaves beta as it is.
     """
     if isinstance(source, RepSampler):
-        return sample_pairs(stream, source, size)
+        return sample_pairs(stream, source, size, *shifts)
     x, factor = gen_data_batch(stream, source.sigma, source.sigma_t, source.alpha_abs,
                                source.v, source.k, size)
-    return pairs_from_raw(*raw_stats_batch(x, factor, source.v))
+    s1, s2, *s2_shifted = raw_stats_batch(x, factor, source.v, *shifts)
+    beta, t = pairs_from_raw(s1, s2)
+    return (beta, t, *(beta * s for s in s2_shifted))
 
 
 def draw_trials(stream, source, n_trials: int):
@@ -203,21 +225,42 @@ def draw_trials(stream, source, n_trials: int):
     return np.concatenate(beta), np.concatenate(t)
 
 
-def _count_chunk(args):
-    stream, source, scores, size = args
-    beta, t = draw_pairs(stream, source, size)
-    return [int(np.count_nonzero(stat_values(kind, beta, t) > threshold))
-            for kind, threshold in scores]
+def _exceedances(kind: DetectorKind, threshold: float, beta, t) -> int:
+    return int(np.count_nonzero(stat_values(kind, beta, t) > threshold))
 
 
-def _count(stream, source, scores, n_trials: int, workers: int = 1) -> list[int]:
-    """Exceedance counts of every (kind, threshold) in ``scores`` on shared trials.
+def _count_chunks(chunks) -> list[int]:
+    """``_count``'s counts summed over a run of chunks."""
+    counts = []
+    for stream, source, scores, size, shifts, m0, m1 in chunks:
+        beta, t, *ts = draw_pairs(stream, source, size, *shifts)
+        counts.append([_exceedances(kind, thr, beta[:m0], t[:m0]) for kind, thr in scores]
+                      + [_exceedances(kind, thr, beta[:m1], tk[:m1])
+                         for (kind, thr), tk in zip(scores, ts)])
+    return [sum(col) for col in zip(*counts)]
+
+
+def _count(stream, source, scores, n_trials: int, workers: int = 1,
+           shifts=(), pd_trials: int = 0) -> list[int]:
+    """Exceedance counts of every (kind, threshold) in ``scores`` on the first
+    ``n_trials`` of one set of trials; then, when ``shifts`` gives each score
+    a signal amplitude (see ``draw_pairs``), its counts on the first
+    ``pd_trials`` of the same trials with that signal added.
 
     Chunk ``ci`` draws from ``stream.child(ci)``, CHUNK trials whatever the
-    source (the last: the rest), so counts never depend on ``workers``.
+    source (the last: the rest), and the trials that only detection scores
+    follow on the next chunks; so counts never depend on ``workers``, and
+    the false-alarm counts never on ``pd_trials``. A pool task is a run of
+    ``_CHUNKS_PER_TASK`` chunks.
     """
-    args = [(s, source, scores, size) for s, size in _chunks(stream, n_trials)]
-    return [sum(col) for col in zip(*_map_chunks(_count_chunk, args, workers))]
+    more = max(0, pd_trials - n_trials) if shifts else 0
+    args, start = [], 0
+    for s, size in _chunks(stream, n_trials, more):
+        args.append((s, source, scores, size, shifts, min(size, max(0, n_trials - start)),
+                     min(size, max(0, pd_trials - start))))
+        start += size
+    tasks = [args[i:i + _CHUNKS_PER_TASK] for i in range(0, len(args), _CHUNKS_PER_TASK)]
+    return [sum(col) for col in zip(*_map_chunks(_count_chunks, tasks, workers))]
 
 
 def _beta_rule(n: int, k: int):
@@ -427,23 +470,26 @@ def _sweep_draw(args):
         om = omega_decompose(sigma, sigma_t, v, v_quad)
         digest = meta_digest(meta, om.schur)
 
-        def source(alpha_abs):
-            if path == "fast":
-                return RepSampler(n, k, om.lam, om.b, om.schur, alpha_abs**2 * om.vt_quad)
-            return MisSetup(sigma=sigma, sigma_t=sigma_t, v=v, alpha_abs=alpha_abs, k=k)
+        # The signal only moves t_tilde, so each plan's detection trials are
+        # the false-alarm trials with its signal added.
+        if path == "fast":
+            source = RepSampler(n, k, om.lam, om.b, om.schur, 0.0)
+            shifts = tuple(np.sqrt(a**2 * om.vt_quad) for a in alphas if a is not None)
+        else:
+            source = MisSetup(sigma=sigma, sigma_t=sigma_t, v=v, alpha_abs=0.0, k=k)
+            shifts = tuple(a for a in alphas if a is not None)
 
         kinds = [plan.resolve(om.schur) for plan in plans]
-        counts = _count(draw_stream.child(_PURPOSE_H0), source(0.0),
-                        tuple((kd, plan.threshold) for kd, plan in zip(kinds, plans)), n_trials)
+        counts = _count(draw_stream.child(_PURPOSE_H0), source,
+                        tuple((kd, plan.threshold) for kd, plan in zip(kinds, plans)),
+                        n_trials, shifts=shifts, pd_trials=pd_trials)
 
         rows = []
         for pi, (plan, kd, count) in enumerate(zip(plans, kinds, counts)):
             est = PfaEstimate.from_counts(count, n_trials)
             pd_fields = {}
             if plan.snr_linear is not None:
-                (pd_count,) = _count(draw_stream.child(_PURPOSE_H1, pi), source(alphas[pi]),
-                                     ((kd, plan.threshold),), pd_trials)
-                pe = PfaEstimate.from_counts(pd_count, pd_trials)
+                pe = PfaEstimate.from_counts(counts[len(plans) + pi], pd_trials)
                 snr_db = 10.0 * np.log10(plan.snr_linear) if plan.snr_linear > 0 else float("-inf")
                 pd_fields = dict(
                     snr_db=snr_db,
@@ -478,11 +524,15 @@ def sweep(stream, scenario: ScenarioCfg, mspec: MismatchSpec, plans, n_draws: in
     """Per-draw false-alarm estimates over mismatch draws, plus detection
     estimates over ``pd_trials`` when the plans carry a calibrated SNR.
 
-    Stream layout: child(draw) -> child(purpose, [plan,] chunk); worker count
-    never changes which stream generates which trial. ``path`` selects the
-    representation sampler ("fast") or the matrix-level oracle ("direct");
-    the two consume streams differently, so they agree in distribution, not
-    draw for draw.
+    Stream layout: child(draw) -> child(0) for the draw's sigma_t, and
+    child(draw) -> child(1, chunk) for its one set of trials, max(n_trials,
+    pd_trials) of them on ``_count``'s chunk grid. False alarms are counted
+    on the first ``n_trials``; every plan's detections on the first
+    ``pd_trials``, with the plan's signal added to the same noise and
+    training data. The worker count never changes which stream generates
+    which trial. ``path`` selects the representation sampler ("fast") or the
+    matrix-level oracle ("direct"); the two consume streams differently, so
+    they agree in distribution, not draw for draw.
     """
     plans = tuple(plans)
     if not plans:
@@ -516,7 +566,7 @@ def sweep(stream, scenario: ScenarioCfg, mspec: MismatchSpec, plans, n_draws: in
 
 def ecdf(values):
     """Right-continuous empirical CDF: sorted unique values with cumulative fractions."""
-    arr = np.sort(np.asarray(values, dtype=float).ravel())
+    arr = np.asarray(values, dtype=float).ravel()
     if arr.size == 0:
         raise ValueError("ecdf of empty sample is undefined")
     uniq, counts = np.unique(arr, return_counts=True)

@@ -68,21 +68,25 @@ def make_sampler(sigma, sigma_t, v, alpha_abs, k) -> RepSampler:
     )
 
 
-def sample_pairs(stream, s: RepSampler, size: int):
-    """Draw ``size`` invariant pairs; returns (beta, t_tilde) arrays.
+def sample_pairs(stream, s: RepSampler, size: int, *roots):
+    """Draw ``size`` invariant pairs; returns (beta, t_tilde) arrays, then
+    one more t_tilde array for each signal amplitude sqrt(gamma_t) in ``roots``,
+    on the same trials.
 
     Exact per-draw recipe, in the whitened leading eigenbasis, where
     ||x1||^2 = sum lam_i |u_i|^2 and the cross term is b @ u for u standard
     circular of length N-1. Draw order pinned:
       1. if b has a nonzero entry, u standard circular of shape (size, N-1),
          that is (size, 2(N-1)) standard normals scaled by 1/sqrt(2) and
-         read as (re, im) pairs; q = ||x1||^2 and a = sqrt(gamma_t) + b @ u;
+         read as (re, im) pairs; q = ||x1||^2 and a0 = b @ u;
          if b is exactly zero, q = E @ lam with E (size, N-1) standard
-         exponentials (|u_i|^2 is Exp(1)) and a = sqrt(gamma_t), half the
-         draws; a tolerance here would drop a real cross term;
-      2. g ~ Cchi2(K-N+2); beta = 1/(1 + q / g);
-      3. c = 1 + beta (r - 1); delta = beta |a|^2 / c;
-      4. t_tilde = c * Cchi2(1, delta) / Cchi2(K-N+1).
+         exponentials (|u_i|^2 is Exp(1)) and a0 = 0, half the draws;
+         a tolerance here would drop a real cross term;
+      2. g ~ Cchi2(K-N+2); beta = 1/(1 + q / g); c = 1 + beta (r - 1);
+      3. z ~ CN(0, 1) and G ~ Cchi2(K-N+1), drawn once for every amplitude:
+         t_tilde = c |sqrt(delta) + z|^2 / G with delta = beta |root + a0|^2 / c.
+    Beta, c and a0 do not depend on the signal, which only moves delta; so
+    the pairs at every amplitude share one draw.
     """
     if size < 1:
         raise ValueError(f"size must be >= 1, got {size}")
@@ -90,18 +94,20 @@ def sample_pairs(stream, s: RepSampler, size: int):
     n, k = s.n, s.k
     if s.b.any():
         u = standard_circular(rng, (size, n - 1))
-        a = np.sqrt(s.gamma_t) + u @ s.b
+        a0 = u @ s.b
         parts = u.view(np.float64)
         np.square(parts, out=parts)  # in place: u is not read again
         q = parts @ np.repeat(s.lam, 2)
     else:
         q = rng.standard_exponential((size, n - 1)) @ s.lam
-        a = np.sqrt(s.gamma_t)
+        a0 = 0.0
     g = rng.gamma(k - n + 2, 1.0, size=size)
     beta = 1.0 / (1.0 + q / g)
     c = 1.0 + beta * (s.r - 1.0)
-    delta = beta * np.abs(a) ** 2 / c
     z = standard_circular(rng, (size,))
-    num = np.abs(np.sqrt(delta) + z) ** 2
     den = rng.gamma(k - n + 1, 1.0, size=size)
-    return beta, c * num / den
+    ts = []
+    for root in (np.sqrt(s.gamma_t), *roots):
+        delta = beta * np.abs(root + a0) ** 2 / c
+        ts.append(c * np.abs(np.sqrt(delta) + z) ** 2 / den)
+    return (beta, *ts)

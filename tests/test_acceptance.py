@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from cfarmismatch import mcengine
 from cfarmismatch.detect import AMF, KELLY, gen_data_batch, kalson, pairs_from_raw, raw_stats_batch, stat_values
 from cfarmismatch.mcengine import (
     DetectorPlan,
@@ -72,8 +73,13 @@ def _sweep_plans(amf_eta):
 
 @pytest.fixture(scope="module")
 def wishart_sweep(scn, amf_eta):
-    res = sweep(SWEEP_STREAM, scn, WISHART, _sweep_plans(amf_eta),
-                SWEEP_DRAWS, SWEEP_TRIALS, workers=3)
+    # The engine starts at most one worker per CPU; report 3 so that criterion
+    # 11 compares a real 3-worker run with a 2-worker one on any host.
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(mcengine, "available_cpus", lambda: 3)
+        res = sweep(SWEEP_STREAM, scn, WISHART, _sweep_plans(amf_eta),
+                    SWEEP_DRAWS, SWEEP_TRIALS, workers=3)
+        mcengine.shutdown_pool()
     assert not res.errors
     return res
 

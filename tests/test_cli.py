@@ -416,7 +416,7 @@ def test_calibration_draws_one_trial_set_for_all_detectors(tmp_path, monkeypatch
 
 def test_thresholds_are_byte_identical_across_worker_counts(tmp_path, monkeypatch):
     # --workers is clamped to the CPUs; report 3 so that 3 workers really run.
-    monkeypatch.setattr(cli, "_available_cpus", lambda: 3)
+    monkeypatch.setattr(mcengine, "available_cpus", lambda: 3)
     cfg = {"seed": 917,
            "detectors": [{"kind": "kelly"}, {"kind": "amf"}, {"kind": "kalson", "kappa": 2.0}],
            "pfa_target": 1e-2, "trials": {"calibration": 200_000}}
@@ -433,7 +433,7 @@ def test_thresholds_are_byte_identical_across_worker_counts(tmp_path, monkeypatc
 
 def test_roc_direct_is_byte_identical_across_worker_counts(tmp_path, monkeypatch):
     # --workers is clamped to the CPUs; report 3 so that 3 workers really run.
-    monkeypatch.setattr(cli, "_available_cpus", lambda: 3)
+    monkeypatch.setattr(mcengine, "available_cpus", lambda: 3)
     cfg = {"seed": 919, "mismatch": {"variant": "inv_wishart", "delta_db": 6.0},
            "detectors": [{"kind": "kelly"}, {"kind": "amf"}], "n_draws": 3,
            "pfa_target": 1e-2, "pd_target": 0.5,
@@ -485,7 +485,7 @@ def test_workers_are_clamped_to_the_available_cpus(tmp_path, monkeypatch):
     path = write_cfg(tmp_path, "cfg.json", cfg)
     assert main(["calibrate", "--config", path, "--out", str(tmp_path / "res"),
                  "--workers", "100000"]) == 0
-    cpus = cli._available_cpus()
+    cpus = mcengine.available_cpus()
     assert sizes == ([cpus] if cpus > 1 else [])
 
 

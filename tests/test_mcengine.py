@@ -10,7 +10,7 @@ from scipy import integrate, special
 from scipy import stats as sstats
 
 from cfarmismatch import mcengine
-from cfarmismatch.detect import AMF, KELLY, kalson
+from cfarmismatch.detect import AMF, KELLY, gen_data_batch, kalson, pairs_from_raw, raw_stats_batch
 from cfarmismatch.mcengine import (
     DetectorPlan,
     MisSetup,
@@ -28,10 +28,11 @@ from cfarmismatch.mcengine import (
     meta_digest,
     nomismatch_sampler,
     sweep,
+    within_five_sigma,
 )
 from cfarmismatch.mismatch import MismatchSpec, gen_sigma_t, omega_decompose
 from cfarmismatch.randkit import StreamKey, beta_cdf, wilson_ci
-from cfarmismatch.scenario import ScenarioCfg, build_cov, build_steering
+from cfarmismatch.scenario import ScenarioCfg, build_cov, build_steering, snr_to_alpha
 from cfarmismatch.storep import make_sampler
 
 N, K = 16, 32
@@ -366,7 +367,8 @@ def test_estimate_prob_matched_covers_closed_form_target():
     assert est.ci_lo <= 1e-3 <= est.ci_hi
 
 
-def test_count_exceedances_worker_count_is_immaterial():
+def test_count_exceedances_worker_count_is_immaterial(monkeypatch):
+    monkeypatch.setattr(mcengine, "available_cpus", lambda: 3)  # 3 workers really run
     eta = kelly_threshold(1e-2, N, K)
     a = count_exceedances(StreamKey(408), KELLY, eta, nomismatch_sampler(N, K),
                           300_000, workers=1)
@@ -408,6 +410,57 @@ def test_count_memory_is_bounded_in_trial_count():
     finally:
         tracemalloc.stop()
     assert peak < 8e6
+
+
+@pytest.fixture
+def in_process_pool(monkeypatch):
+    """Stands in for ProcessPoolExecutor: starts no process, records each
+    pool's size and each map's task count, and runs the tasks in order."""
+    mcengine.shutdown_pool()
+    calls = []
+
+    class InProcessPool:
+        _broken = False
+
+        def __init__(self, max_workers):
+            calls.append(("pool", max_workers))
+
+        def map(self, fn, args_list, chunksize=1):
+            args_list = list(args_list)
+            calls.append(("tasks", len(args_list)))
+            return map(fn, args_list)
+
+        def shutdown(self):
+            pass
+
+    monkeypatch.setattr(mcengine, "ProcessPoolExecutor", InProcessPool)
+    yield calls
+    mcengine.shutdown_pool()
+
+
+def test_a_pool_task_is_a_fixed_run_of_chunks(in_process_pool, monkeypatch):
+    # 100 000 trials are 49 chunks: 7 tasks of at most 8 chunks at any worker
+    # count, with the counts of a single process.
+    monkeypatch.setattr(mcengine, "available_cpus", lambda: 3)
+    scores = ((KELLY, kelly_threshold(1e-2, N, K)), (AMF, calibrate_threshold(AMF, N, K, 1e-2)))
+    alone = mcengine._count(StreamKey(439), nomismatch_sampler(N, K), scores, 100_000)
+    for workers in (2, 3):
+        in_process_pool.clear()
+        counts = mcengine._count(StreamKey(439), nomismatch_sampler(N, K), scores, 100_000,
+                                 workers)
+        assert counts == alone
+        assert in_process_pool[-1] == ("tasks", 7)
+
+
+def test_worker_count_is_clamped_to_the_cpus(in_process_pool, monkeypatch):
+    # No process starts: the fake records the pool size the engine asks for.
+    monkeypatch.setattr(mcengine, "available_cpus", lambda: 3)
+    eta = kelly_threshold(1e-2, N, K)
+    alone = count_exceedances(StreamKey(440), KELLY, eta, nomismatch_sampler(N, K), 10_000)
+    many = count_exceedances(StreamKey(440), KELLY, eta, nomismatch_sampler(N, K), 10_000,
+                             workers=100_000)
+    assert many == alone
+    assert in_process_pool == [("pool", 3), ("tasks", 1)]
 
 
 @pytest.mark.parametrize("variant", ["identity", "inv_wishart", "eig_jitter", "ger_chol"])
@@ -542,9 +595,10 @@ def test_sweep_is_worker_count_invariant(scn):
 
 
 @pytest.mark.parametrize("nu", [None, 16])
-def test_batched_sweep_is_worker_count_invariant(scn, nu):
+def test_batched_sweep_is_worker_count_invariant(scn, monkeypatch, nu):
     # 100 draws go to the pool in batches: 3 draws per task at 2 workers and
     # 2 at 3 workers. nu = N makes every draw fail.
+    monkeypatch.setattr(mcengine, "available_cpus", lambda: 3)
     plans = (DetectorPlan(label="kelly", threshold=0.31, kind=KELLY),
              DetectorPlan(label="c1", threshold=0.31, clairvoyant_c=1.0))
     spec = MismatchSpec("inv_wishart", 6.0, nu=nu)
@@ -557,6 +611,87 @@ def test_batched_sweep_is_worker_count_invariant(scn, nu):
         assert [d for d, _ in runs[0].errors] == list(range(100))
     assert runs[1] == runs[0]
     assert runs[2] == runs[0]
+
+
+def _pd_plans(kinds=(KELLY, AMF), pfa=1e-2, pd=0.7):
+    plans = []
+    for kind in kinds:
+        eta = calibrate_threshold(kind, N, K, pfa)
+        plans.append(DetectorPlan(label=kind.kind, threshold=eta, kind=kind,
+                                  snr_linear=calibrate_snr(kind, eta, N, K, pd)))
+    return tuple(plans)
+
+
+@pytest.mark.parametrize("n,k,cnr_db,rho1,variant,tol", [
+    (16, 32, 20.0, 0.95, "inv_wishart", 1e-12),
+    (64, 128, 60.0, 0.999, "identity", 1e-9),  # cond(sigma) about 4e7
+])
+def test_direct_signal_trials_are_the_noise_trials_plus_signal(n, k, cnr_db, rho1, variant, tol):
+    # The shared trials at amplitude alpha equal data drawn with that alpha
+    # on the same stream, which draws the same noise and training factor.
+    scn = ScenarioCfg(n=n, k=k, cnr_db=cnr_db, rho1=rho1)
+    sigma, steer = build_cov(scn), build_steering(n, scn.fd)
+    st, _ = gen_sigma_t(StreamKey(441), sigma, steer, MismatchSpec(variant, 6.0))
+    alphas = [snr_to_alpha(snr, sigma, steer) for snr in (2.0, 20.0, 200.0)]
+    key = StreamKey(442)
+    source = MisSetup(sigma=sigma, sigma_t=st, v=steer, alpha_abs=0.0, k=k)
+    beta, *ts = draw_pairs(key, source, 1024, *alphas)
+    for alpha, t in zip((0.0, *alphas), ts):
+        x, factor = gen_data_batch(key, sigma, st, alpha, steer, k, 1024)
+        beta_ref, t_ref = pairs_from_raw(*raw_stats_batch(x, factor, steer))
+        assert np.max(np.abs(beta - beta_ref) / beta_ref) <= tol
+        assert np.max(np.abs(t - t_ref) / t_ref) <= tol
+
+
+@pytest.mark.parametrize("path", ["fast", "direct"])
+@pytest.mark.parametrize("seed", [443, 444])
+def test_pooled_detection_on_shared_trials_meets_the_matched_law(scn, path, seed):
+    # Without mismatch every draw's P_d is the matched value; each plan's count
+    # pools independent trials over draws, so it is binomial.
+    plans = _pd_plans()
+    res = sweep(StreamKey(seed), scn, MismatchSpec("identity"), plans,
+                n_draws=8, n_trials=4096, pd_trials=4096, path=path)
+    assert not res.errors
+    for plan in plans:
+        count = sum(r.pd_exceedances for r in res.rows if r.detector == plan.label)
+        p = matched_exceedance(plan.kind, plan.threshold, N, K, plan.snr_linear)
+        assert within_five_sigma(count, 8 * 4096, p), (plan.label, count / (8 * 4096), p)
+
+
+@pytest.mark.parametrize("path", ["fast", "direct"])
+def test_false_alarm_counts_do_not_depend_on_detection_trials(scn, path):
+    # 3000 false-alarm trials end inside chunk 1; 5000 detection trials run
+    # past them. No P_d at all, fewer P_d trials, or more: the same P_fa rows.
+    plans = _pd_plans()
+    fields = ("draw_id", "detector", "n_trials", "exceedances", "pfa_hat", "ci_lo", "ci_hi")
+    runs = [sweep(StreamKey(445), scn, MismatchSpec("inv_wishart", 6.0), plans,
+                  n_draws=2, n_trials=3000, pd_trials=pd, path=path) for pd in (1000, 5000)]
+    plain = sweep(StreamKey(445), scn, MismatchSpec("inv_wishart", 6.0),
+                  [dataclasses.replace(plan, snr_linear=None) for plan in plans],
+                  n_draws=2, n_trials=3000, path=path)
+    pfa_rows = [[tuple(getattr(r, f) for f in fields) for r in res.rows]
+                for res in (*runs, plain)]
+    assert len(pfa_rows[0]) == 4
+    assert pfa_rows[1] == pfa_rows[0] and pfa_rows[2] == pfa_rows[0]
+    assert [r.pd_n_trials for r in runs[1].rows] == [5000] * 4
+
+
+def test_a_draw_scores_detection_on_its_false_alarm_trials(scn, monkeypatch):
+    # One trial set per draw, max(n_trials, pd_trials) long, with every
+    # plan's signal: not one more set per plan.
+    drawn = []
+    draw = mcengine.draw_pairs
+
+    def counted(stream, source, size, *shifts):
+        drawn.append((size, len(shifts)))
+        return draw(stream, source, size, *shifts)
+
+    monkeypatch.setattr(mcengine, "draw_pairs", counted)
+    res = sweep(StreamKey(446), scn, MismatchSpec("inv_wishart", 6.0), _pd_plans(),
+                n_draws=2, n_trials=5000, pd_trials=3000, path="direct")
+    assert not res.errors
+    assert sum(size for size, _ in drawn) == 2 * 5000
+    assert {m for _, m in drawn} == {2}
 
 
 def test_sweep_direct_path_matches_fast_in_probability(scn):

@@ -95,6 +95,24 @@ def test_sample_pairs_draw_order_is_pinned(b):
     assert np.allclose(t, t_ref, rtol=1e-12, atol=0)
 
 
+@pytest.mark.parametrize("b", [0.0, 0.3 - 0.2j])
+def test_shifted_pairs_match_a_sampler_at_that_signal(b):
+    # One draw serves every amplitude: t_tilde at sqrt(gamma) equals the
+    # sampler built with that gamma_t, on the same stream, up to the rounding
+    # of sqrt(gamma**2).
+    lam = np.linspace(0.5, 2.0, N - 1)
+    s = RepSampler(n=N, k=K, lam=lam, b=b, r=1.7, gamma_t=0.0)
+    key = StreamKey(338)
+    roots = (0.8, 3.1, 7.5)
+    beta, t0, *ts = sample_pairs(key, s, 2048, *roots)
+    ref_beta, ref_t0 = sample_pairs(key, s, 2048)
+    assert np.array_equal(beta, ref_beta) and np.array_equal(t0, ref_t0)
+    for root, t in zip(roots, ts):
+        b_ref, t_ref = sample_pairs(key, dataclasses.replace(s, gamma_t=root**2), 2048)
+        assert np.array_equal(beta, b_ref)
+        assert np.max(np.abs(t - t_ref) / t_ref) <= 1e-13
+
+
 def test_sample_pairs_rejects_empty():
     with pytest.raises(ValueError):
         sample_pairs(StreamKey(1), matched_sampler(), 0)
