@@ -4,8 +4,8 @@ Commands: validate | calibrate | cdf | sweep | roc. Every command reads one
 JSON config (defaults apply when omitted), derives all randomness from the
 seed through labeled streams, and writes CSV/JSON/SVG files whose headers
 embed the normalized config (less the output directory), its hash, the seed,
-and the generator id, so a result file documents how to regenerate itself
-bitwise, wherever it is written.
+the generator id and, for sweep and roc, the trial path, so a result file
+documents how to regenerate itself bitwise, wherever it is written.
 
 Exit codes: 0 success, 1 config error, 2 validation failure, 3 numerical failure.
 """
@@ -85,13 +85,16 @@ def clairvoyant_label(c: float) -> str:
     return f"clairvoyant_c{c:g}"
 
 
-def run_meta(cfg: RunConfig) -> dict:
+def run_meta(cfg: RunConfig, path: str | None = None) -> dict:
     # The output directory does not change any result, so it stays out of the
-    # hash: one experiment gives the same bytes under any --out.
+    # hash: one experiment gives the same bytes under any --out. The trial
+    # path is a flag, not a config key; the commands whose trials it selects
+    # pass it in.
     experiment = {key: val for key, val in cfg.normalized.items() if key != "out_dir"}
     return {
         "config_sha256": config_hash(experiment),
         "seed": cfg.seed,
+        **({} if path is None else {"path": path}),
         "generator": GENERATOR_ID,
         "version": __version__,
         "config": canonical_json(experiment),
@@ -173,9 +176,8 @@ def cmd_validate(cfg: RunConfig, workers: int, path: str, out: Path) -> int:
 
     sigma_t, _ = gen_sigma_t(root.child(2), sigma, v, cfg.mismatch)
     m_side = 20_000
-    fb, ft = draw_trials(root.child(3), make_sampler(sigma, sigma_t, v, 0.0, k), m_side)
-    db, dt = draw_trials(root.child(4), MisSetup(sigma=sigma, sigma_t=sigma_t, v=v,
-                                                  alpha_abs=0.0, k=k), m_side)
+    fb, ft = draw_trials(root.child(3), make_sampler(sigma, sigma_t, v, k), m_side)
+    db, dt = draw_trials(root.child(4), MisSetup(sigma=sigma, sigma_t=sigma_t, v=v, k=k), m_side)
     d1 = ks_distance_2samp(fb, db)
     d2 = ks_distance_2samp(ft, dt)
     record(
@@ -243,7 +245,7 @@ def cmd_cdf(cfg: RunConfig, workers: int, path: str, out: Path) -> int:
     t_series = []
     for draw in range(cfg.n_cdf_draws):
         sigma_t, _ = gen_sigma_t(root.child(draw, 0), sigma, v, cfg.mismatch)
-        sampler = make_sampler(sigma, sigma_t, v, 0.0, k)
+        sampler = make_sampler(sigma, sigma_t, v, k)
         beta, t = draw_trials(root.child(draw, 1), sampler, m)
         for j in range(m):
             rows.append({"draw_id": draw, "beta": beta[j], "t_tilde": t[j]})
@@ -322,7 +324,7 @@ def cmd_sweep(cfg: RunConfig, workers: int, path: str, out: Path) -> int:
                                   clairvoyant_c=c))
     res = sweep(StreamKey(cfg.seed).child(_EXP_SWEEP), sc, cfg.mismatch, plans,
                 cfg.n_draws, cfg.trials.pfa, workers=workers, path=path)
-    meta = run_meta(cfg)
+    meta = run_meta(cfg, path)
     summary = _summarize(res)
 
     series = []
@@ -357,7 +359,7 @@ def cmd_roc(cfg: RunConfig, workers: int, path: str, out: Path) -> int:
                                   kind=e.kind, snr_linear=snr))
     res = sweep(StreamKey(cfg.seed).child(_EXP_SWEEP), sc, cfg.mismatch, plans,
                 cfg.n_draws, cfg.trials.pfa, pd_trials=cfg.trials.pd, workers=workers, path=path)
-    meta = run_meta(cfg)
+    meta = run_meta(cfg, path)
     summary = _summarize(res)
 
     series = []

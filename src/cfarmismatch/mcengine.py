@@ -74,12 +74,12 @@ class ThresholdEntry:
 @dataclass(frozen=True)
 class MisSetup:
     """One simulation point of the direct path (test vector and Bartlett factor
-    of the sample covariance): covariances, steering, amplitude, K."""
+    of the sample covariance): covariances, steering, K. No signal is part of
+    it; ``draw_pairs`` adds one of amplitude alpha as alpha * v."""
 
     sigma: np.ndarray
     sigma_t: np.ndarray
     v: np.ndarray
-    alpha_abs: float
     k: int
 
 
@@ -134,8 +134,9 @@ class SweepResult:
 
 
 def nomismatch_sampler(n: int, k: int) -> RepSampler:
-    """Sampler state for the matched case: unit block, zero cross row, unit gain."""
-    return RepSampler(n=n, k=k, lam=np.ones(n - 1), b=0.0, r=1.0, gamma_t=0.0)
+    """Sampler state for the matched case: unit block, zero cross row, unit
+    gain, and vt_quad = 1, so a signal of amplitude alpha has SNR alpha^2."""
+    return RepSampler(n=n, k=k, lam=np.ones(n - 1), b=0.0, r=1.0, vt_quad=1.0)
 
 
 def kelly_threshold(pfa_target: float, n: int, k: int) -> float:
@@ -203,16 +204,16 @@ def shutdown_pool() -> None:
 
 def draw_pairs(stream, source, size: int, *shifts):
     """(beta, t_tilde) arrays for one chunk of trials, then t_tilde of the same
-    trials with a signal of each amplitude in ``shifts`` added.
+    trials with a signal alpha * v added, for each amplitude alpha in ``shifts``.
 
-    ``source`` is a RepSampler (fast path: the representation sampler; a
-    shift is sqrt(gamma_t)) or a MisSetup (direct path: test vector and
-    sample-covariance factor; a shift is the amplitude alpha of the data).
-    The signal leaves beta as it is.
+    ``source`` is a RepSampler (fast path: the representation sampler, which
+    maps alpha to its noncentrality through vt_quad) or a MisSetup (direct
+    path: test vector and sample-covariance factor, whose whitened solves
+    are linear in alpha). The signal leaves beta as it is.
     """
     if isinstance(source, RepSampler):
         return sample_pairs(stream, source, size, *shifts)
-    x, factor = gen_data_batch(stream, source.sigma, source.sigma_t, source.alpha_abs,
+    x, factor = gen_data_batch(stream, source.sigma, source.sigma_t, 0.0,
                                source.v, source.k, size)
     s1, s2, *s2_shifted = raw_stats_batch(x, factor, source.v, *shifts)
     beta, t = pairs_from_raw(s1, s2)
@@ -244,7 +245,7 @@ def _count(stream, source, scores, n_trials: int, workers: int = 1,
            shifts=(), pd_trials: int = 0) -> list[int]:
     """Exceedance counts of every (kind, threshold) in ``scores`` on the first
     ``n_trials`` of one set of trials; then, when ``shifts`` gives each score
-    a signal amplitude (see ``draw_pairs``), its counts on the first
+    a data amplitude alpha (see ``draw_pairs``), its counts on the first
     ``pd_trials`` of the same trials with that signal added.
 
     Chunk ``ci`` draws from ``stream.child(ci)``, CHUNK trials whatever the
@@ -470,19 +471,18 @@ def _sweep_draw(args):
         om = omega_decompose(sigma, sigma_t, v, v_quad)
         digest = meta_digest(meta, om.schur)
 
+        if path == "fast":
+            source = RepSampler(n, k, om.lam, om.b, om.schur, om.vt_quad)
+        else:
+            source = MisSetup(sigma=sigma, sigma_t=sigma_t, v=v, k=k)
+
         # The signal only moves t_tilde, so each plan's detection trials are
         # the false-alarm trials with its signal added.
-        if path == "fast":
-            source = RepSampler(n, k, om.lam, om.b, om.schur, 0.0)
-            shifts = tuple(np.sqrt(a**2 * om.vt_quad) for a in alphas if a is not None)
-        else:
-            source = MisSetup(sigma=sigma, sigma_t=sigma_t, v=v, alpha_abs=0.0, k=k)
-            shifts = tuple(a for a in alphas if a is not None)
-
         kinds = [plan.resolve(om.schur) for plan in plans]
         counts = _count(draw_stream.child(_PURPOSE_H0), source,
                         tuple((kd, plan.threshold) for kd, plan in zip(kinds, plans)),
-                        n_trials, shifts=shifts, pd_trials=pd_trials)
+                        n_trials, shifts=tuple(a for a in alphas if a is not None),
+                        pd_trials=pd_trials)
 
         rows = []
         for pi, (plan, kd, count) in enumerate(zip(plans, kinds, counts)):

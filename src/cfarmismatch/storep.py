@@ -6,6 +6,10 @@ The reduction conditions on the whitened leading coordinates and replaces
 the inner Wishart quadratic form by a single chi-square ratio; that step is
 exact, not an approximation, so the output distribution must match the
 matrix-level path draw for draw (tested at the KS level).
+
+The sampler state is the draw's geometry alone. A signal is an amplitude
+alpha of alpha * v added to the test vector, as on the matrix-level path;
+here it enters t_tilde through the noncentrality root sqrt(alpha^2 vt_quad).
 """
 
 from __future__ import annotations
@@ -20,14 +24,15 @@ from .randkit import _generator, standard_circular
 
 @dataclass(frozen=True)
 class RepSampler:
-    """Frozen per-(sigma, sigma_t, alpha) state driving the pair sampler.
+    """Frozen per-(sigma, sigma_t, v) geometry driving the pair sampler.
 
     ``lam`` holds the eigenvalues of the leading whitened block, ``b`` the
     cross row in its eigenbasis (scalar contribution = b @ u for the
     standard circular u with x1 = V sqrt(lam) u; a scalar broadcasts, so
     b=0 gives the collinear-gain case), ``r`` the Schur complement, and
-    ``gamma_t`` = |alpha|^2 v^H inv(sigma_t) v. Immutable, shareable across
-    workers.
+    ``vt_quad`` = v^H inv(sigma_t) v, which maps a signal amplitude to its
+    noncentrality. No signal is part of the state. Immutable, shareable
+    across workers.
     """
 
     n: int
@@ -35,7 +40,7 @@ class RepSampler:
     lam: np.ndarray
     b: np.ndarray
     r: float
-    gamma_t: float
+    vt_quad: float
 
     def __post_init__(self):
         if self.n < 2 or self.k < self.n:
@@ -47,31 +52,21 @@ class RepSampler:
         object.__setattr__(self, "b", np.broadcast_to(np.asarray(self.b, dtype=np.complex128), lam.shape))
         if not self.r > 0:
             raise ValueError(f"Schur complement must be positive, got {self.r}")
-        if self.gamma_t < 0:
-            raise ValueError(f"gamma_t must be >= 0, got {self.gamma_t}")
+        if not self.vt_quad > 0:
+            raise ValueError(f"vt_quad must be positive, got {self.vt_quad}")
 
 
-def make_sampler(sigma, sigma_t, v, alpha_abs, k) -> RepSampler:
-    """Build the sampler state for a (sigma, sigma_t, v, alpha) point with K snapshots."""
-    alpha_abs = float(alpha_abs)
-    if alpha_abs < 0:
-        raise ValueError(f"alpha_abs must be real nonnegative, got {alpha_abs}")
+def make_sampler(sigma, sigma_t, v, k) -> RepSampler:
+    """Build the sampler state for a (sigma, sigma_t, v) point with K snapshots."""
     om = omega_decompose(sigma, sigma_t, v)
-    n = sigma.shape[0]
-    return RepSampler(
-        n=n,
-        k=int(k),
-        lam=om.lam,
-        b=om.b,
-        r=om.schur,
-        gamma_t=alpha_abs**2 * om.vt_quad,
-    )
+    return RepSampler(n=sigma.shape[0], k=int(k), lam=om.lam, b=om.b, r=om.schur,
+                      vt_quad=om.vt_quad)
 
 
-def sample_pairs(stream, s: RepSampler, size: int, *roots):
-    """Draw ``size`` invariant pairs; returns (beta, t_tilde) arrays, then
-    one more t_tilde array for each signal amplitude sqrt(gamma_t) in ``roots``,
-    on the same trials.
+def sample_pairs(stream, s: RepSampler, size: int, *alphas):
+    """Draw ``size`` invariant pairs; returns (beta, t_tilde) arrays without a
+    signal, then t_tilde of the same trials for each data amplitude alpha in
+    ``alphas``.
 
     Exact per-draw recipe, in the whitened leading eigenbasis, where
     ||x1||^2 = sum lam_i |u_i|^2 and the cross term is b @ u for u standard
@@ -84,7 +79,8 @@ def sample_pairs(stream, s: RepSampler, size: int, *roots):
          a tolerance here would drop a real cross term;
       2. g ~ Cchi2(K-N+2); beta = 1/(1 + q / g); c = 1 + beta (r - 1);
       3. z ~ CN(0, 1) and G ~ Cchi2(K-N+1), drawn once for every amplitude:
-         t_tilde = c |sqrt(delta) + z|^2 / G with delta = beta |root + a0|^2 / c.
+         t_tilde = c |sqrt(delta) + z|^2 / G with delta = beta |root + a0|^2 / c,
+         where root = sqrt(alpha^2 vt_quad), and 0 without a signal.
     Beta, c and a0 do not depend on the signal, which only moves delta; so
     the pairs at every amplitude share one draw.
     """
@@ -107,7 +103,7 @@ def sample_pairs(stream, s: RepSampler, size: int, *roots):
     z = standard_circular(rng, (size,))
     den = rng.gamma(k - n + 1, 1.0, size=size)
     ts = []
-    for root in (np.sqrt(s.gamma_t), *roots):
+    for root in (0.0, *(np.sqrt(a**2 * s.vt_quad) for a in alphas)):
         delta = beta * np.abs(root + a0) ** 2 / c
         ts.append(c * np.abs(np.sqrt(delta) + z) ** 2 / den)
     return (beta, *ts)

@@ -122,7 +122,7 @@ def test_criterion_03_two_route_equivalence(scn, sigma, steer):
     for i, mspec in enumerate(specs):
         sigma_t, _ = gen_sigma_t(StreamKey(3104, (i,)), sigma, steer, mspec)
         for j, alpha in enumerate((0.0, alpha_cal)):
-            fb, ft = sample_pairs(StreamKey(3105, (i, j)), make_sampler(sigma, sigma_t, steer, alpha, K), m)
+            fb, _, ft = sample_pairs(StreamKey(3105, (i, j)), make_sampler(sigma, sigma_t, steer, K), m, alpha)
             db, dt = [], []
             done = 0
             ci = 0
@@ -189,7 +189,7 @@ def test_criterion_06_pinned_gain_exact_cfar(sigma, steer):
     for d in range(10):
         sigma_t, meta = gen_sigma_t(StreamKey(3110, (d,)), sigma, steer, mspec)
         assert meta["psi22"] == 1.0
-        sampler = make_sampler(sigma, sigma_t, steer, 0.0, K)
+        sampler = make_sampler(sigma, sigma_t, steer, K)
         counts.append(count_exceedances(StreamKey(3111, (d,)), KELLY, ETA3, sampler, 1_000_000,
                                         workers=3))
     pooled = sum(counts)
@@ -205,7 +205,7 @@ def test_criterion_07_gain_aware_statistic_under_enforced_collinearity(sigma, st
     for d in range(3):
         sigma_t, _ = gen_sigma_t(StreamKey(3112, (d,)), sigma, steer, MismatchSpec("ger_chol", 6.0))
         om = omega_decompose(sigma, sigma_t, steer)
-        beta, t = sample_pairs(StreamKey(3113, (d,)), make_sampler(sigma, sigma_t, steer, 0.0, K), 100_000)
+        beta, t = sample_pairs(StreamKey(3113, (d,)), make_sampler(sigma, sigma_t, steer, K), 100_000)
         vals = stat_values(kalson(om.schur), beta, t)
         d_ks = stats.kstest(vals, lambda x: 1.0 - cf1_survival(np.clip(x, 0.0, None), Q)).statistic
         worst = max(worst, d_ks)
@@ -228,7 +228,7 @@ def test_criterion_09_gain_ratio_scaling(scn, sigma, steer, wishart_sweep):
     for d in range(10):
         sigma_t, _ = gen_sigma_t(StreamKey(3114, (d,)), sigma, steer, MismatchSpec("ger_chol", 6.0))
         om = omega_decompose(sigma, sigma_t, steer)
-        sampler = make_sampler(sigma, sigma_t, steer, 0.0, K)
+        sampler = make_sampler(sigma, sigma_t, steer, K)
         total += count_exceedances(StreamKey(3115, (d,)), kalson(om.schur), ETA3, sampler,
                                    1_000_000, workers=3)
     pooled = PfaEstimate.from_counts(total, 10_000_000)

@@ -242,6 +242,41 @@ def test_sweep_is_byte_identical_under_any_out(tmp_path):
         assert (a / name).read_bytes() == (b / name).read_bytes()
 
 
+@pytest.mark.parametrize("command,svg", [("sweep", "sweep_pfa.svg"), ("roc", "roc_scatter.svg")])
+def test_output_headers_name_the_trial_path(tmp_path, command, svg):
+    # --path is a flag, not a config key: the two paths draw different rows
+    # from one config and seed, so every header must say which path ran.
+    cfg = {"seed": 925, "mismatch": {"variant": "inv_wishart", "delta_db": 6.0},
+           "detectors": [{"kind": "kelly"}], "n_draws": 2, "pfa_target": 1e-2, "pd_target": 0.5,
+           "trials": {"calibration": 10_000, "pfa": 2_000, "pd": 2_000}}
+    path = write_cfg(tmp_path, "cfg.json", cfg)
+    headers = {}
+    for trial_path in ("fast", "direct"):
+        out = tmp_path / trial_path
+        assert main([command, "--config", path, "--out", str(out), "--workers", "1",
+                     "--path", trial_path]) == 0
+        meta, _ = read_csv(out / f"{command}.csv")
+        assert meta["path"] == trial_path
+        assert json.loads((out / f"{command}_summary.json").read_text())["meta"]["path"] == trial_path
+        desc = json.loads(ET.parse(out / svg).getroot().find(f"{SVG_NS}desc").text)
+        assert desc["path"] == trial_path
+        headers[trial_path] = [line for line in (out / f"{command}.csv").read_text().splitlines()
+                               if line.startswith("# ")]
+    assert headers["fast"] != headers["direct"]
+
+
+def test_calibrate_output_does_not_depend_on_the_path(tmp_path):
+    cfg = {"seed": 926, "detectors": [{"kind": "kelly"}], "pfa_target": 1e-2,
+           "trials": {"calibration": 10_000}}
+    path = write_cfg(tmp_path, "cfg.json", cfg)
+    for trial_path in ("fast", "direct"):
+        assert main(["calibrate", "--config", path, "--out", str(tmp_path / trial_path),
+                     "--workers", "1", "--path", trial_path]) == 0
+    text = (tmp_path / "fast" / "thresholds.json").read_bytes()
+    assert text == (tmp_path / "direct" / "thresholds.json").read_bytes()
+    assert "path" not in json.loads(text)["meta"]
+
+
 def test_sweep_runs_ill_conditioned_scenario(tmp_path):
     # cond(sigma) is about 4e7; every draw must decompose.
     cfg = {
@@ -462,29 +497,14 @@ def test_default_workers_follow_the_affinity_mask(tmp_path, monkeypatch):
     assert main(["calibrate", "--config", path, "--out", str(tmp_path / "res")]) == 0
 
 
-def test_workers_are_clamped_to_the_available_cpus(tmp_path, monkeypatch):
+def test_workers_are_clamped_to_the_available_cpus(tmp_path, in_process_pool):
     # The fake pool starts no process: it records its size and runs the tasks
     # in process, so an unclamped --workers 100000 costs nothing here.
-    mcengine.shutdown_pool()
-    sizes = []
-
-    class InProcessPool:
-        _broken = False
-
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-
-        def map(self, fn, args_list, chunksize=1):
-            return map(fn, args_list)
-
-        def shutdown(self):
-            pass
-
-    monkeypatch.setattr(mcengine, "ProcessPoolExecutor", InProcessPool)
     cfg = {"detectors": [{"kind": "kelly"}], "pfa_target": 1e-2, "trials": {"calibration": 10_000}}
     path = write_cfg(tmp_path, "cfg.json", cfg)
     assert main(["calibrate", "--config", path, "--out", str(tmp_path / "res"),
                  "--workers", "100000"]) == 0
+    sizes = [size for what, size in in_process_pool if what == "pool"]
     cpus = mcengine.available_cpus()
     assert sizes == ([cpus] if cpus > 1 else [])
 

@@ -289,7 +289,7 @@ def test_bartlett_pair_law_matches_training_data(sigma, steer, variant, snr):
     st, _ = gen_sigma_t(StreamKey(212), sigma, steer, MismatchSpec(variant, 6.0))
     alpha = snr_to_alpha(snr, sigma, steer)
     m = 8192
-    beta_b, t_b = draw_pairs(StreamKey(213), MisSetup(sigma, st, steer, alpha, 32), m)
+    beta_b, _, t_b = draw_pairs(StreamKey(213), MisSetup(sigma, st, steer, 32), m, alpha)
     rng = np.random.default_rng(214)
     gx, gt = chol(sigma), chol(st)
     s = np.array([raw_stats(alpha * steer + gx @ standard_circular(rng, 16),

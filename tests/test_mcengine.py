@@ -38,8 +38,15 @@ from cfarmismatch.storep import make_sampler
 N, K = 16, 32
 
 
-def setup_for(sigma, sigma_t, steer, alpha=0.0):
-    return MisSetup(sigma=sigma, sigma_t=sigma_t, v=steer, alpha_abs=alpha, k=K)
+def setup_for(sigma, sigma_t, steer):
+    return MisSetup(sigma=sigma, sigma_t=sigma_t, v=steer, k=K)
+
+
+def matched_detections(stream, kind, threshold, snr, n_trials):
+    """Detections of one detector on ``n_trials`` matched trials at linear SNR
+    ``snr``: the matched sampler has vt_quad = 1, so its amplitude is sqrt(snr)."""
+    return mcengine._count(stream, nomismatch_sampler(N, K), ((kind, threshold),), n_trials,
+                           shifts=(np.sqrt(snr),), pd_trials=n_trials)[1]
 
 
 def test_kelly_threshold_closed_forms():
@@ -113,8 +120,7 @@ def test_detection_at_zero_snr_is_false_alarm(n, k, kind):
 @pytest.mark.parametrize("i,snr", [(0, 4.0), (1, 12.0)])
 def test_detection_matches_monte_carlo(i, snr):
     eta = calibrate_threshold(AMF, N, K, 1e-2)
-    count = count_exceedances(StreamKey(433).child(i), AMF, eta,
-                              dataclasses.replace(nomismatch_sampler(N, K), gamma_t=snr), 400_000)
+    count = matched_detections(StreamKey(433).child(i), AMF, eta, snr, 400_000)
     est = PfaEstimate.from_counts(count, 400_000)
     assert est.ci_lo <= matched_exceedance(AMF, eta, N, K, snr) <= est.ci_hi
 
@@ -355,7 +361,7 @@ def test_detector_plan_validation():
 
 
 def test_estimate_prob_zero_threshold_is_one(sigma, steer):
-    for source in (make_sampler(sigma, sigma, steer, 0.0, K), setup_for(sigma, sigma, steer)):
+    for source in (make_sampler(sigma, sigma, steer, K), setup_for(sigma, sigma, steer)):
         assert count_exceedances(StreamKey(405), KELLY, 0.0, source, 512) == 512
 
 
@@ -412,32 +418,6 @@ def test_count_memory_is_bounded_in_trial_count():
     assert peak < 8e6
 
 
-@pytest.fixture
-def in_process_pool(monkeypatch):
-    """Stands in for ProcessPoolExecutor: starts no process, records each
-    pool's size and each map's task count, and runs the tasks in order."""
-    mcengine.shutdown_pool()
-    calls = []
-
-    class InProcessPool:
-        _broken = False
-
-        def __init__(self, max_workers):
-            calls.append(("pool", max_workers))
-
-        def map(self, fn, args_list, chunksize=1):
-            args_list = list(args_list)
-            calls.append(("tasks", len(args_list)))
-            return map(fn, args_list)
-
-        def shutdown(self):
-            pass
-
-    monkeypatch.setattr(mcengine, "ProcessPoolExecutor", InProcessPool)
-    yield calls
-    mcengine.shutdown_pool()
-
-
 def test_a_pool_task_is_a_fixed_run_of_chunks(in_process_pool, monkeypatch):
     # 100 000 trials are 49 chunks: 7 tasks of at most 8 chunks at any worker
     # count, with the counts of a single process.
@@ -468,7 +448,7 @@ def test_fast_and_direct_paths_agree_in_probability(sigma, steer, variant):
     st, _ = gen_sigma_t(StreamKey(409), sigma, steer, MismatchSpec(variant, 6.0))
     eta = kelly_threshold(1e-2, N, K)
     fast = PfaEstimate.from_counts(
-        count_exceedances(StreamKey(410), KELLY, eta, make_sampler(sigma, st, steer, 0.0, K),
+        count_exceedances(StreamKey(410), KELLY, eta, make_sampler(sigma, st, steer, K),
                           1_000_000), 1_000_000)
     direct = PfaEstimate.from_counts(
         count_exceedances(StreamKey(411), KELLY, eta, setup_for(sigma, st, steer), 100_000),
@@ -488,8 +468,7 @@ def test_calibrate_snr_hits_detection_target():
     eta = kelly_threshold(1e-4, N, K)
     snr = calibrate_snr(KELLY, eta, N, K, 0.7)
     assert snr > 0
-    count = count_exceedances(StreamKey(414), KELLY, eta,
-                              dataclasses.replace(nomismatch_sampler(N, K), gamma_t=snr), 20_000)
+    count = matched_detections(StreamKey(414), KELLY, eta, snr, 20_000)
     est = PfaEstimate.from_counts(count, 20_000)
     assert est.ci_lo <= 0.7 <= est.ci_hi
 
@@ -498,9 +477,7 @@ def test_zero_snr_detection_equals_false_alarm():
     eta = kelly_threshold(1e-2, N, K)
     pfa_count = count_exceedances(StreamKey(415), KELLY, eta, nomismatch_sampler(N, K),
                                   100_000)
-    pd_count = count_exceedances(StreamKey(415), KELLY, eta,
-                                 dataclasses.replace(nomismatch_sampler(N, K), gamma_t=0.0),
-                                 100_000)
+    pd_count = matched_detections(StreamKey(415), KELLY, eta, 0.0, 100_000)
     assert pfa_count == pd_count
 
 
@@ -508,9 +485,7 @@ def test_doubling_snr_raises_detection():
     eta = kelly_threshold(1e-3, N, K)
     ests = []
     for i, snr in enumerate((8.0, 16.0)):
-        count = count_exceedances(StreamKey(416).child(i), KELLY, eta,
-                                  dataclasses.replace(nomismatch_sampler(N, K), gamma_t=snr),
-                                  1_000_000)
+        count = matched_detections(StreamKey(416).child(i), KELLY, eta, snr, 1_000_000)
         ests.append(PfaEstimate.from_counts(count, 1_000_000))
     assert ests[0].ci_hi < ests[1].ci_lo
 
@@ -634,7 +609,7 @@ def test_direct_signal_trials_are_the_noise_trials_plus_signal(n, k, cnr_db, rho
     st, _ = gen_sigma_t(StreamKey(441), sigma, steer, MismatchSpec(variant, 6.0))
     alphas = [snr_to_alpha(snr, sigma, steer) for snr in (2.0, 20.0, 200.0)]
     key = StreamKey(442)
-    source = MisSetup(sigma=sigma, sigma_t=st, v=steer, alpha_abs=0.0, k=k)
+    source = MisSetup(sigma=sigma, sigma_t=st, v=steer, k=k)
     beta, *ts = draw_pairs(key, source, 1024, *alphas)
     for alpha, t in zip((0.0, *alphas), ts):
         x, factor = gen_data_batch(key, sigma, st, alpha, steer, k, 1024)
@@ -822,7 +797,7 @@ def test_matched_laws_at_edge_dimensions(n, k, path):
         m = 2048
         cfg = ScenarioCfg(n=n, k=k)
         sig = build_cov(cfg)
-        source = MisSetup(sigma=sig, sigma_t=sig, v=build_steering(n, cfg.fd), alpha_abs=0.0, k=k)
+        source = MisSetup(sigma=sig, sigma_t=sig, v=build_steering(n, cfg.fd), k=k)
     beta, t = draw_pairs(stream, source, m)
     limit = float(sstats.kstwo.isf(1e-6, m))
     assert sstats.kstest(beta, lambda x: beta_cdf(big_l + 1, n - 1, x)).statistic < limit

@@ -14,7 +14,7 @@ from cfarmismatch.detect import (
 from cfarmismatch.mcengine import MisSetup, draw_pairs
 from cfarmismatch.mismatch import MismatchSpec, check_ger, gen_sigma_t
 from cfarmismatch.randkit import StreamKey, beta_cdf, cf1_survival
-from cfarmismatch.scenario import ScenarioCfg, build_cov, build_steering, snr_to_alpha
+from cfarmismatch.scenario import ScenarioCfg, build_cov, build_steering, snr_to_alpha, whitened_quad
 from cfarmismatch.storep import RepSampler, make_sampler, sample_pairs
 
 N, K = 16, 32
@@ -27,42 +27,61 @@ def ks_against(samples, cdf):
     return float(sstats.kstest(samples, cdf).statistic)
 
 
-def matched_sampler(gamma_t=0.0):
-    return RepSampler(n=N, k=K, lam=np.ones(N - 1), b=0.0, r=1.0, gamma_t=gamma_t)
+def matched_sampler():
+    return RepSampler(n=N, k=K, lam=np.ones(N - 1), b=0.0, r=1.0, vt_quad=1.0)
+
+
+def pinned_pairs(key, lam, b, r, size, roots):
+    """beta and t_tilde at each noncentrality root, recomputed from the
+    sampler's pinned draw order on ``key``."""
+    rng = key.generator()
+    if b:
+        z = rng.standard_normal((size, N - 1, 2)) * (1.0 / np.sqrt(2.0))
+        q = (z**2).reshape(size, -1) @ np.repeat(lam, 2)
+        a0 = (z[..., 0] + 1j * z[..., 1]) @ np.full(N - 1, b)
+    else:
+        q = rng.standard_exponential((size, N - 1)) @ lam
+        a0 = 0.0
+    beta = 1.0 / (1.0 + q / rng.gamma(K - N + 2, 1.0, size=size))
+    c = 1.0 + (r - 1.0) * beta
+    zt = rng.standard_normal((size, 2)) * (1.0 / np.sqrt(2.0))
+    den = rng.gamma(K - N + 1, 1.0, size=size)
+    return beta, [c * np.abs(np.sqrt(beta * np.abs(root + a0) ** 2 / c) + zt[:, 0] + 1j * zt[:, 1]) ** 2
+                  / den for root in roots]
 
 
 def test_make_sampler_matched_fields(sigma, steer):
-    s = make_sampler(sigma, sigma, steer, 0.0, K)
+    s = make_sampler(sigma, sigma, steer, K)
     assert np.abs(s.lam - 1.0).max() < 1e-10
     assert np.linalg.norm(s.b) < 1e-10
     assert abs(s.r - 1.0) < 1e-10
-    assert s.gamma_t == 0.0
+    assert abs(s.vt_quad - whitened_quad(sigma, steer)) < 1e-10 * s.vt_quad
 
 
 def test_make_sampler_ger_input_kills_cross_row(sigma, steer):
     st, _ = gen_sigma_t(StreamKey(300), sigma, steer, MismatchSpec("ger_chol", 6.0))
-    s = make_sampler(sigma, st, steer, 0.0, K)
+    s = make_sampler(sigma, st, steer, K)
     assert np.linalg.norm(s.b) < 1e-8
 
 
-def test_make_sampler_gamma_t_value(sigma, steer):
+def test_make_sampler_vt_quad_value(sigma, steer):
     st, _ = gen_sigma_t(StreamKey(301), sigma, steer, MismatchSpec("inv_wishart", 6.0))
-    alpha = 1.7
-    s = make_sampler(sigma, st, steer, alpha, K)
+    s = make_sampler(sigma, st, steer, K)
     quad = (steer.conj() @ np.linalg.solve(st, steer)).real
-    assert abs(s.gamma_t - alpha**2 * quad) < 1e-10 * alpha**2 * quad
+    assert abs(s.vt_quad - quad) < 1e-10 * quad
 
 
 def test_sampler_state_validation():
     with pytest.raises(ValueError):
-        RepSampler(n=N, k=15, lam=np.ones(N - 1), b=0.0, r=1.0, gamma_t=0.0)
+        RepSampler(n=N, k=15, lam=np.ones(N - 1), b=0.0, r=1.0, vt_quad=1.0)
+    for vt_quad in (0.0, -1.0, np.nan):
+        with pytest.raises(ValueError):
+            RepSampler(n=N, k=K, lam=np.ones(N - 1), b=0.0, r=1.0, vt_quad=vt_quad)
     with pytest.raises(ValueError):
-        matched_sampler(gamma_t=-1.0)
-    with pytest.raises(ValueError):
-        RepSampler(n=N, k=K, lam=np.ones(N - 1), b=0.0, r=0.0, gamma_t=0.0)
+        RepSampler(n=N, k=K, lam=np.ones(N - 1), b=0.0, r=0.0, vt_quad=1.0)
     for lam in (np.ones(N), np.r_[np.ones(N - 2), 0.0], np.r_[np.ones(N - 2), np.nan]):
         with pytest.raises(ValueError):
-            RepSampler(n=N, k=K, lam=lam, b=0.0, r=1.0, gamma_t=0.0)
+            RepSampler(n=N, k=K, lam=lam, b=0.0, r=1.0, vt_quad=1.0)
 
 
 def test_sample_pairs_is_stream_deterministic():
@@ -74,42 +93,30 @@ def test_sample_pairs_is_stream_deterministic():
 
 @pytest.mark.parametrize("b", [0.0, 0.3 - 0.2j])
 def test_sample_pairs_draw_order_is_pinned(b):
+    # vt_quad = 4 and alpha = 1 give the noncentrality root 2 exactly.
     lam = np.linspace(0.5, 2.0, N - 1)
-    s = RepSampler(n=N, k=K, lam=lam, b=b, r=1.7, gamma_t=4.0)
+    s = RepSampler(n=N, k=K, lam=lam, b=b, r=1.7, vt_quad=4.0)
     key = StreamKey(325)
-    beta, t = sample_pairs(key, s, 64)
-    rng = key.generator()
-    if b:
-        z = rng.standard_normal((64, N - 1, 2)) / np.sqrt(2.0)
-        q = (z[..., 0] ** 2 + z[..., 1] ** 2) @ lam
-        a = 2.0 + (z[..., 0] + 1j * z[..., 1]) @ np.full(N - 1, b)
-    else:
-        q = rng.standard_exponential((64, N - 1)) @ lam
-        a = 2.0
-    beta_ref = 1.0 / (1.0 + q / rng.gamma(K - N + 2, 1.0, size=64))
-    c = 1.0 + 0.7 * beta_ref
-    zt = rng.standard_normal((64, 2)) / np.sqrt(2.0)
-    num = np.abs(np.sqrt(beta_ref * np.abs(a) ** 2 / c) + zt[:, 0] + 1j * zt[:, 1]) ** 2
-    t_ref = c * num / rng.gamma(K - N + 1, 1.0, size=64)
+    beta, _, t = sample_pairs(key, s, 64, 1.0)
+    beta_ref, (t_ref,) = pinned_pairs(key, lam, b, 1.7, 64, (2.0,))
     assert np.allclose(beta, beta_ref, rtol=1e-13, atol=0)
     assert np.allclose(t, t_ref, rtol=1e-12, atol=0)
 
 
 @pytest.mark.parametrize("b", [0.0, 0.3 - 0.2j])
 def test_shifted_pairs_match_a_sampler_at_that_signal(b):
-    # One draw serves every amplitude: t_tilde at sqrt(gamma) equals the
-    # sampler built with that gamma_t, on the same stream, up to the rounding
-    # of sqrt(gamma**2).
+    # One draw serves every amplitude: t_tilde at alpha equals the pinned
+    # recipe at the root sqrt(alpha^2 vt_quad), recomputed from the stream.
     lam = np.linspace(0.5, 2.0, N - 1)
-    s = RepSampler(n=N, k=K, lam=lam, b=b, r=1.7, gamma_t=0.0)
+    s = RepSampler(n=N, k=K, lam=lam, b=b, r=1.7, vt_quad=2.5)
     key = StreamKey(338)
-    roots = (0.8, 3.1, 7.5)
-    beta, t0, *ts = sample_pairs(key, s, 2048, *roots)
+    alphas = (0.8, 3.1, 7.5)
+    beta, t0, *ts = sample_pairs(key, s, 2048, *alphas)
     ref_beta, ref_t0 = sample_pairs(key, s, 2048)
     assert np.array_equal(beta, ref_beta) and np.array_equal(t0, ref_t0)
-    for root, t in zip(roots, ts):
-        b_ref, t_ref = sample_pairs(key, dataclasses.replace(s, gamma_t=root**2), 2048)
-        assert np.array_equal(beta, b_ref)
+    b_ref, t_refs = pinned_pairs(key, lam, b, 1.7, 2048, [0.0] + [np.sqrt(a**2 * 2.5) for a in alphas])
+    assert np.max(np.abs(beta - b_ref) / b_ref) <= 1e-13
+    for t, t_ref in zip((t0, *ts), t_refs):
         assert np.max(np.abs(t - t_ref) / t_ref) <= 1e-13
 
 
@@ -150,7 +157,7 @@ def test_matched_t_survival_at_reference_threshold():
 
 def test_beta_marginal_matches_gamma_mixture_oracle(sigma, steer):
     st, _ = gen_sigma_t(StreamKey(307), sigma, steer, MismatchSpec("eig_jitter", 6.0))
-    s = make_sampler(sigma, st, steer, 0.0, K)
+    s = make_sampler(sigma, st, steer, K)
     beta, _ = sample_pairs(StreamKey(308), s, 100_000)
     rng = np.random.default_rng(309)
     mix = rng.exponential(size=(100_000, N - 1)) @ s.lam
@@ -164,9 +171,9 @@ def test_beta_marginal_matches_gamma_mixture_oracle(sigma, steer):
 @pytest.mark.parametrize("alpha", [0.0, 1.5])
 def test_fast_path_matches_direct_path(sigma, steer, alpha):
     st, _ = gen_sigma_t(StreamKey(310), sigma, steer, MismatchSpec("inv_wishart", 6.0))
-    s = make_sampler(sigma, st, steer, alpha, K)
+    s = make_sampler(sigma, st, steer, K)
     n_s = 200_000
-    beta_f, t_f = sample_pairs(StreamKey(311), s, n_s)
+    beta_f, _, t_f = sample_pairs(StreamKey(311), s, n_s, alpha)
 
     parts_b, parts_t = [], []
     root = StreamKey(312)
@@ -199,11 +206,11 @@ def test_fast_path_matches_direct_path_at_high_cnr(snr):
     st, _ = gen_sigma_t(StreamKey(322), sigma, steer, MismatchSpec("inv_wishart", 6.0))
     alpha = snr_to_alpha(snr, sigma, steer)
     n_s = 4096
-    beta_f, t_f = sample_pairs(StreamKey(323), make_sampler(sigma, st, steer, alpha, scn.k), n_s)
-    setup = MisSetup(sigma=sigma, sigma_t=st, v=steer, alpha_abs=alpha, k=scn.k)
-    pairs = [draw_pairs(StreamKey(324).child(ci), setup, 256) for ci in range(n_s // 256)]
-    beta_d = np.concatenate([b for b, _ in pairs])
-    t_d = np.concatenate([t for _, t in pairs])
+    beta_f, _, t_f = sample_pairs(StreamKey(323), make_sampler(sigma, st, steer, scn.k), n_s, alpha)
+    setup = MisSetup(sigma=sigma, sigma_t=st, v=steer, k=scn.k)
+    pairs = [draw_pairs(StreamKey(324).child(ci), setup, 256, alpha) for ci in range(n_s // 256)]
+    beta_d = np.concatenate([b for b, _, _ in pairs])
+    t_d = np.concatenate([t for _, _, t in pairs])
 
     from scipy import stats as sstats
 
@@ -219,7 +226,7 @@ def test_ger_sampler_agrees_with_general_sampler(sigma, steer):
     st, _ = gen_sigma_t(StreamKey(313), sigma, steer, MismatchSpec("ger_eig", 6.0))
     rep = check_ger(sigma, st, steer)
     assert rep.holds
-    s = make_sampler(sigma, st, steer, 0.0, K)
+    s = make_sampler(sigma, st, steer, K)
     assert s.b.any()
     n_s = 200_000
     beta_a, t_a = sample_pairs(StreamKey(314), s, n_s)
@@ -231,29 +238,29 @@ def test_ger_sampler_agrees_with_general_sampler(sigma, steer):
 
 
 def test_ger_sampler_matched_t_is_pivotal():
-    s = RepSampler(n=N, k=K, lam=np.full(N - 1, 0.8), b=0.0, r=1.0, gamma_t=0.0)
+    s = RepSampler(n=N, k=K, lam=np.full(N - 1, 0.8), b=0.0, r=1.0, vt_quad=1.0)
     _, t = sample_pairs(StreamKey(316), s, 100_000)
     d = ks_against(t, lambda x: 1.0 - cf1_survival(x, K - N + 1))
     assert d < KS_LIMIT
 
 
 def test_gain_ratio_above_one_inflates_t():
-    s = RepSampler(n=N, k=K, lam=np.ones(N - 1), b=0.0, r=2.0, gamma_t=0.0)
+    s = RepSampler(n=N, k=K, lam=np.ones(N - 1), b=0.0, r=2.0, vt_quad=1.0)
     _, t = sample_pairs(StreamKey(317), s, 100_000)
     assert float(t.mean()) > 0.07  # matched mean is 1/16
 
 
 def test_noncentrality_inflates_t():
-    s0 = matched_sampler(gamma_t=0.0)
-    s1 = matched_sampler(gamma_t=20.0)
-    _, t0 = sample_pairs(StreamKey(318).child(0), s0, 50_000)
-    _, t1 = sample_pairs(StreamKey(318).child(1), s1, 50_000)
+    # vt_quad = 1, so the amplitude sqrt(20) is an SNR of 20.
+    s = matched_sampler()
+    _, t0 = sample_pairs(StreamKey(318).child(0), s, 50_000)
+    _, _, t1 = sample_pairs(StreamKey(318).child(1), s, 50_000, np.sqrt(20.0))
     assert float(t1.mean()) > 4.0 * float(t0.mean())
 
 
 def test_kalson_transform_identity_per_draw(sigma, steer):
     st, _ = gen_sigma_t(StreamKey(319), sigma, steer, MismatchSpec("inv_wishart", 6.0))
-    s = make_sampler(sigma, st, steer, 0.0, K)
+    s = make_sampler(sigma, st, steer, K)
     beta, t = sample_pairs(StreamKey(320), s, 10_000)
     s2 = t / beta
     s1 = s2 + 1.0 / beta - 1.0
@@ -270,7 +277,7 @@ def test_mismatch_shifts_beta_down(sigma, steer):
     below = 0
     for i in range(10):
         st, _ = gen_sigma_t(root.child(i, 0), sigma, steer, MismatchSpec("inv_wishart", 6.0))
-        s = make_sampler(sigma, st, steer, 0.0, K)
+        s = make_sampler(sigma, st, steer, K)
         beta, _ = sample_pairs(root.child(i, 1), s, 100_000)
         if float(np.median(beta)) < matched_median:
             below += 1
