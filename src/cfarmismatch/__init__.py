@@ -20,10 +20,10 @@ from .mcengine import (
     kelly_threshold,
     sweep,
 )
-from .mismatch import GerReport, MismatchSpec, OmegaSummary, check_ger, gen_sigma_t, omega_decompose
+from .mismatch import GerReport, MismatchSpec, RepSampler, check_ger, gen_sigma_t, omega_decompose
 from .randkit import GENERATOR_ID, StreamKey
 from .scenario import ScenarioCfg, build_cov, build_steering
-from .storep import RepSampler, make_sampler, sample_pairs
+from .storep import make_sampler, sample_pairs
 
 __all__ = [
     "__version__",
@@ -42,7 +42,7 @@ __all__ = [
     "sweep",
     "GerReport",
     "MismatchSpec",
-    "OmegaSummary",
+    "RepSampler",
     "check_ger",
     "gen_sigma_t",
     "omega_decompose",
@@ -51,7 +51,6 @@ __all__ = [
     "ScenarioCfg",
     "build_cov",
     "build_steering",
-    "RepSampler",
     "make_sampler",
     "sample_pairs",
 ]

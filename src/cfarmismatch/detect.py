@@ -68,27 +68,11 @@ def gen_data_batch(stream, sigma, sigma_t, alpha_abs, v, k, n_batch):
     return x, (gt, off, diag)
 
 
-def raw_stats(x, xt, v):
-    """(s1, s2) from one trial: the pair every detector is a function of.
-
-    ``xt`` is the N x K training data or any factor of their sample
-    covariance, since only xt xt^H is used. Scalar LAPACK route, kept as the
-    independent reference that ``raw_stats_batch`` is tested against. The
-    factor l = R^H, from the QR factorization xt^H = Q R, has l l^H = xt xt^H
-    without forming that product, which would square the condition number;
-    the phases on R's diagonal change neither s1 nor s2.
-    """
-    l = np.linalg.qr(xt.conj().T, mode="r").conj().T
-    a = np.linalg.solve(l, x)
-    b = np.linalg.solve(l, v)
-    s1 = float(np.vdot(a, a).real)
-    bb = float(np.vdot(b, b).real)
-    s2 = float(abs(np.vdot(a, b)) ** 2 / bb)
-    return s1, s2
-
-
 def raw_stats_batch(x, factor, v, *alphas):
-    """Vectorized raw_stats from the packed factor of ``gen_data_batch``:
+    """(s1, s2) of every trial, the pair every detector is a function of:
+    s1 = ||a||^2 and s2 = |a^H b|^2 / ||b||^2, with a = L^-1 x and b = L^-1 v
+    for the packed factor L = Gt A of ``gen_data_batch``.
+
     (Gt A)^-1 = A^-1 Gt^-1, so x and v are whitened by Gt once, then A is
     forward-substituted. Both substitutions run row by row, vectorized
     across trials, into column-major buffers, where one coordinate of every

@@ -4,6 +4,12 @@ Determinism contract: every experiment walks a stream-key tree whose path is
 (draw, purpose, chunk), CHUNK trials per chunk on both paths, pool tasks are
 fixed runs of chunks, and reductions are integer exceedance counts, so results
 are bitwise identical for any worker count.
+
+A sweep draw's fast-path source is the ``RepSampler`` that ``omega_decompose``
+returns. The direct path, the matrix oracle, builds only a ``MisSetup`` and
+takes the Schur complement r (for a clairvoyant kappa and the draw digest)
+from its independent form v^H inv(sigma_t) v / v^H inv(sigma) v, so no check
+or fault of the representation's geometry reaches it.
 """
 
 from __future__ import annotations
@@ -18,10 +24,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .detect import DetectorKind, gen_data_batch, kalson, pairs_from_raw, raw_stats_batch, stat_values
-from .mismatch import MismatchSpec, gen_sigma_t, omega_decompose
+from .mismatch import MismatchSpec, RepSampler, gen_sigma_t, omega_decompose
 from .randkit import cf1_survival, wilson_ci
 from .scenario import ScenarioCfg, build_cov, build_steering, snr_to_alpha, whitened_quad
-from .storep import RepSampler, sample_pairs
+from .storep import sample_pairs
 
 # Trials per chunk on both paths; no chunk's memory grows with a trial count.
 CHUNK = 1 << 11
@@ -85,9 +91,10 @@ class MisSetup:
 
 @dataclass(frozen=True)
 class DetectorPlan:
-    """One sweep column: a detector (fixed, or clairvoyant kappa = c * Schur),
-    its calibrated threshold, and optionally the calibrated SNR for P_d rows;
-    the plans of one sweep all carry an SNR or none does."""
+    """One sweep column: a detector (fixed, or clairvoyant kappa = c * r, with r
+    the draw's Schur complement), its calibrated threshold, and optionally the
+    calibrated SNR for P_d rows; the plans of one sweep all carry an SNR or
+    none does."""
 
     label: str
     threshold: float
@@ -101,10 +108,10 @@ class DetectorPlan:
         if self.threshold < 0:
             raise ValueError(f"threshold must be >= 0, got {self.threshold}")
 
-    def resolve(self, schur: float) -> DetectorKind:
+    def resolve(self, r: float) -> DetectorKind:
         if self.kind is not None:
             return self.kind
-        return kalson(self.clairvoyant_c * schur)
+        return kalson(self.clairvoyant_c * r)
 
 
 @dataclass(frozen=True)
@@ -234,10 +241,14 @@ def _count_chunks(chunks) -> list[int]:
     """``_count``'s counts summed over a run of chunks."""
     counts = []
     for stream, source, scores, size, shifts, m0, m1 in chunks:
-        beta, t, *ts = draw_pairs(stream, source, size, *shifts)
+        # A chunk past the detection trials draws no signal (the trials
+        # without one come first, so they stay as they are) and scores a 0
+        # per shift: a shorter row would cut columns from zip(*counts).
+        beta, t, *ts = draw_pairs(stream, source, size, *(shifts if m1 else ()))
         counts.append([_exceedances(kind, thr, beta[:m0], t[:m0]) for kind, thr in scores]
                       + [_exceedances(kind, thr, beta[:m1], tk[:m1])
-                         for (kind, thr), tk in zip(scores, ts)])
+                         for (kind, thr), tk in zip(scores, ts)]
+                      + [0] * (len(shifts) - len(ts)))
     return [sum(col) for col in zip(*counts)]
 
 
@@ -264,6 +275,7 @@ def _count(stream, source, scores, n_trials: int, workers: int = 1,
     return [sum(col) for col in zip(*_map_chunks(_count_chunks, tasks, workers))]
 
 
+@functools.cache
 def _beta_rule(n: int, k: int):
     """Nodes and weights that turn E[f(beta)], beta ~ Beta(K-N+2, N-1), into a sum.
 
@@ -274,7 +286,7 @@ def _beta_rule(n: int, k: int):
     2 / (pi sqrt(K+2)). Against mpmath, P_fa had relative error below 1e-13
     for N up to 256, K-N+1 up to 300, thresholds 1e-3 to 1e9 and values down
     to 1e-14. At |t| = 4.5 both beta and 1 - beta are below exp(-140), so
-    the grid stops there.
+    the grid stops there. Built once per (n, k), so the arrays are read-only.
     """
     a, b = k - n + 2, n - 1
     h = min(1.0 / 32.0, 1.0 / (np.pi * np.sqrt(k + 2.0)))
@@ -285,7 +297,9 @@ def _beta_rule(n: int, k: int):
              - (math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)))
     keep = log_w > -745.0
     w = np.exp(log_w[keep])
-    return np.exp(log_beta[keep]), w / w.sum()
+    beta, w = np.exp(log_beta[keep]), w / w.sum()
+    beta.flags.writeable = w.flags.writeable = False
+    return beta, w
 
 
 def matched_exceedance(kind: DetectorKind, threshold: float, n: int, k: int,
@@ -448,7 +462,7 @@ def calibrate_snr(kind: DetectorKind, threshold: float, n: int, k: int,
                             1.0)
 
 
-def meta_digest(variant_meta: dict, schur: float) -> str:
+def meta_digest(variant_meta: dict, r: float) -> str:
     """Compact key=value rendering of drawn scalars; vectors become short hashes."""
     parts = []
     for key in sorted(variant_meta):
@@ -458,7 +472,7 @@ def meta_digest(variant_meta: dict, schur: float) -> str:
         else:
             h = hashlib.sha256(np.ascontiguousarray(val).tobytes()).hexdigest()[:8]
             parts.append(f"{key}=h{h}")
-    parts.append(f"omega_schur={schur:.8g}")
+    parts.append(f"omega_schur={r:.8g}")
     return ";".join(parts)
 
 
@@ -466,19 +480,19 @@ def _sweep_draw(args):
     (draw_stream, draw_id, fixed, mspec, plans, n_trials, pd_trials, path) = args
     sigma, v, v_quad, k, alphas = fixed
     try:
-        n = sigma.shape[0]
         sigma_t, meta = gen_sigma_t(draw_stream.child(_PURPOSE_SIGMA_T), sigma, v, mspec)
-        om = omega_decompose(sigma, sigma_t, v, v_quad)
-        digest = meta_digest(meta, om.schur)
-
         if path == "fast":
-            source = RepSampler(n, k, om.lam, om.b, om.schur, om.vt_quad)
+            source = omega_decompose(sigma, sigma_t, v, k, v_quad)
+            r = source.r
         else:
+            # The oracle takes r from its independent form, not the geometry.
             source = MisSetup(sigma=sigma, sigma_t=sigma_t, v=v, k=k)
+            r = whitened_quad(sigma_t, v) / v_quad
+        digest = meta_digest(meta, r)
 
         # The signal only moves t_tilde, so each plan's detection trials are
         # the false-alarm trials with its signal added.
-        kinds = [plan.resolve(om.schur) for plan in plans]
+        kinds = [plan.resolve(r) for plan in plans]
         counts = _count(draw_stream.child(_PURPOSE_H0), source,
                         tuple((kd, plan.threshold) for kd, plan in zip(kinds, plans)),
                         n_trials, shifts=tuple(a for a in alphas if a is not None),

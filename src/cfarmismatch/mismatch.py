@@ -5,7 +5,8 @@ exact match, an inverse-Wishart perturbation, eigenvalue jitter, and one
 variant of each that enforces the eigenrelation inv(St) v = lam * inv(S) v
 (so the whitened cross block vanishes). ``omega_decompose`` extracts the
 geometry (leading-block eigenvalues, cross row in their eigenbasis, Schur
-complement) that drives the fast pair sampler.
+complement, v^H inv(St) v) into ``RepSampler``, the one record of a draw's
+geometry and the state of the fast pair sampler in ``storep``.
 """
 
 from __future__ import annotations
@@ -60,22 +61,40 @@ class GerReport:
 
 
 @dataclass(frozen=True)
-class OmegaSummary:
-    """Whitened-and-rotated geometry of a (sigma, sigma_t) pair.
+class RepSampler:
+    """Whitened-and-rotated geometry of a (sigma, sigma_t, v) point with K
+    snapshots: the state of the fast pair sampler.
 
     ``lam`` holds the eigenvalues of the leading (N-1) block Omega11 =
     V diag(lam) V^H, ascending. ``b`` is the cross row in that eigenbasis,
     scaled so that the test-coordinate contribution of x1 = V sqrt(lam) u is
-    b @ u (plain dot): b = (w @ V) * sqrt(lam), with w the row Omega12^H
-    inv(Omega11), so ||b||^2 = Omega12^H inv(Omega11) Omega12. ``schur`` is
-    the Schur complement Omega22 - ||b||^2, checked against its independent
-    form v^H inv(St) v / v^H inv(S) v, and ``vt_quad`` = v^H inv(St) v.
+    b @ u (plain dot) for the standard circular u: b = (w @ V) * sqrt(lam),
+    with w the row Omega12^H inv(Omega11), so ||b||^2 = Omega12^H inv(Omega11)
+    Omega12; a scalar broadcasts, so b=0 gives the collinear-gain case. ``r``
+    is the Schur complement Omega22 - ||b||^2, and ``vt_quad`` = v^H inv(St) v,
+    which maps a signal amplitude to its noncentrality. No signal is part of
+    the state. Immutable, shareable across workers.
     """
 
+    n: int
+    k: int
     lam: np.ndarray
     b: np.ndarray
-    schur: float
+    r: float
     vt_quad: float
+
+    def __post_init__(self):
+        if self.n < 2 or self.k < self.n:
+            raise ValueError(f"need K >= N >= 2, got N={self.n}, K={self.k}")
+        lam = np.asarray(self.lam, dtype=float)
+        if lam.shape != (self.n - 1,) or not np.all(lam > 0):
+            raise ValueError(f"lam must be {self.n - 1} positive reals")
+        object.__setattr__(self, "lam", lam)
+        object.__setattr__(self, "b", np.broadcast_to(np.asarray(self.b, dtype=np.complex128), lam.shape))
+        if not self.r > 0:
+            raise ValueError(f"Schur complement must be positive, got {self.r}")
+        if not self.vt_quad > 0:
+            raise ValueError(f"vt_quad must be positive, got {self.vt_quad}")
 
 
 def _db_uniform(rng: np.random.Generator, half_width_db: float, size: int | None = None):
@@ -196,22 +215,24 @@ def _rotated_omega(sigma: np.ndarray, sigma_t: np.ndarray, v: np.ndarray) -> tup
     return hermitian_part(q.conj().T @ m @ q), vt_quad
 
 
-def omega_decompose(sigma: np.ndarray, sigma_t: np.ndarray, v: np.ndarray,
-                    v_quad: float | None = None) -> OmegaSummary:
+def omega_decompose(sigma: np.ndarray, sigma_t: np.ndarray, v: np.ndarray, k: int,
+                    v_quad: float | None = None) -> RepSampler:
     """Whiten by the training covariance, rotate the whitened v onto the last
-    axis, partition, and diagonalize the leading block. ``v_quad`` is
-    v^H inv(sigma) v, for the Schur check; a sweep, whose sigma and v are
-    fixed, passes it in, and it is computed here when left out."""
+    axis, partition, and diagonalize the leading block; returns the sampler
+    state for K snapshots. The Schur complement is checked against its
+    independent form v^H inv(sigma_t) v / v^H inv(sigma) v. ``v_quad`` is
+    v^H inv(sigma) v; a sweep, whose sigma and v are fixed, passes it in, and
+    it is computed here when left out."""
     omega, vt_quad = _rotated_omega(sigma, sigma_t, v)
     lam, vecs = np.linalg.eigh(omega[:-1, :-1])
     if not lam[0] > 0:
         raise NotPositiveDefiniteError(1, what="eigenvalue")
     b = (omega[:-1, -1].conj() @ vecs) / np.sqrt(lam)
-    schur = float(omega[-1, -1].real - np.vdot(b, b).real)
+    r = float(omega[-1, -1].real - np.vdot(b, b).real)
 
     ratio = vt_quad / (whitened_quad(sigma, v) if v_quad is None else v_quad)
-    if abs(schur - ratio) > 1e-6 * ratio:
+    if abs(r - ratio) > 1e-6 * ratio:
         raise RuntimeError(
-            f"Schur complement {schur!r} disagrees with quadratic-form ratio {ratio!r}"
+            f"Schur complement {r!r} disagrees with quadratic-form ratio {ratio!r}"
         )
-    return OmegaSummary(lam=lam, b=b, schur=schur, vt_quad=vt_quad)
+    return RepSampler(n=sigma.shape[0], k=int(k), lam=lam, b=b, r=r, vt_quad=vt_quad)

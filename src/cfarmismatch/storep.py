@@ -7,60 +7,23 @@ the inner Wishart quadratic form by a single chi-square ratio; that step is
 exact, not an approximation, so the output distribution must match the
 matrix-level path draw for draw (tested at the KS level).
 
-The sampler state is the draw's geometry alone. A signal is an amplitude
-alpha of alpha * v added to the test vector, as on the matrix-level path;
-here it enters t_tilde through the noncentrality root sqrt(alpha^2 vt_quad).
+The sampler state is the draw's geometry alone: the ``mismatch.RepSampler``
+that ``mismatch.omega_decompose`` returns. A signal is an amplitude alpha of
+alpha * v added to the test vector, as on the matrix-level path; here it
+enters t_tilde through the noncentrality root sqrt(alpha^2 vt_quad).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .mismatch import omega_decompose
+from .mismatch import RepSampler, omega_decompose
 from .randkit import _generator, standard_circular
-
-
-@dataclass(frozen=True)
-class RepSampler:
-    """Frozen per-(sigma, sigma_t, v) geometry driving the pair sampler.
-
-    ``lam`` holds the eigenvalues of the leading whitened block, ``b`` the
-    cross row in its eigenbasis (scalar contribution = b @ u for the
-    standard circular u with x1 = V sqrt(lam) u; a scalar broadcasts, so
-    b=0 gives the collinear-gain case), ``r`` the Schur complement, and
-    ``vt_quad`` = v^H inv(sigma_t) v, which maps a signal amplitude to its
-    noncentrality. No signal is part of the state. Immutable, shareable
-    across workers.
-    """
-
-    n: int
-    k: int
-    lam: np.ndarray
-    b: np.ndarray
-    r: float
-    vt_quad: float
-
-    def __post_init__(self):
-        if self.n < 2 or self.k < self.n:
-            raise ValueError(f"need K >= N >= 2, got N={self.n}, K={self.k}")
-        lam = np.asarray(self.lam, dtype=float)
-        if lam.shape != (self.n - 1,) or not np.all(lam > 0):
-            raise ValueError(f"lam must be {self.n - 1} positive reals")
-        object.__setattr__(self, "lam", lam)
-        object.__setattr__(self, "b", np.broadcast_to(np.asarray(self.b, dtype=np.complex128), lam.shape))
-        if not self.r > 0:
-            raise ValueError(f"Schur complement must be positive, got {self.r}")
-        if not self.vt_quad > 0:
-            raise ValueError(f"vt_quad must be positive, got {self.vt_quad}")
 
 
 def make_sampler(sigma, sigma_t, v, k) -> RepSampler:
     """Build the sampler state for a (sigma, sigma_t, v) point with K snapshots."""
-    om = omega_decompose(sigma, sigma_t, v)
-    return RepSampler(n=sigma.shape[0], k=int(k), lam=om.lam, b=om.b, r=om.schur,
-                      vt_quad=om.vt_quad)
+    return omega_decompose(sigma, sigma_t, v, k)
 
 
 def sample_pairs(stream, s: RepSampler, size: int, *alphas):

@@ -175,9 +175,9 @@ def test_criterion_05_gain_ratio_identity(sigma, steer, rand_hpd):
             s_t, _ = gen_sigma_t(StreamKey(3109, (trial,)), s, steer, MismatchSpec(variant, 6.0))
         z = rng.standard_normal(N) + 1j * rng.standard_normal(N)
         v = z / np.linalg.norm(z)
-        schur = omega_decompose(s, s_t, v).schur
+        r = omega_decompose(s, s_t, v, K).r
         ratio = (v.conj() @ np.linalg.solve(s_t, v)).real / (v.conj() @ np.linalg.solve(s, v)).real
-        worst = max(worst, abs(schur - ratio) / ratio)
+        worst = max(worst, abs(r - ratio) / ratio)
     _line(5, worst <= 1e-10, f"worst relative gap={worst:.2e} over 100 pairs, limit 1e-10")
 
 
@@ -204,9 +204,9 @@ def test_criterion_07_gain_aware_statistic_under_enforced_collinearity(sigma, st
     worst = 0.0
     for d in range(3):
         sigma_t, _ = gen_sigma_t(StreamKey(3112, (d,)), sigma, steer, MismatchSpec("ger_chol", 6.0))
-        om = omega_decompose(sigma, sigma_t, steer)
-        beta, t = sample_pairs(StreamKey(3113, (d,)), make_sampler(sigma, sigma_t, steer, K), 100_000)
-        vals = stat_values(kalson(om.schur), beta, t)
+        sampler = make_sampler(sigma, sigma_t, steer, K)
+        beta, t = sample_pairs(StreamKey(3113, (d,)), sampler, 100_000)
+        vals = stat_values(kalson(sampler.r), beta, t)
         d_ks = stats.kstest(vals, lambda x: 1.0 - cf1_survival(np.clip(x, 0.0, None), Q)).statistic
         worst = max(worst, d_ks)
     _line(7, worst < 0.006, f"worst D={worst:.5f} over 3 draws at 1e5 samples, limit=0.006")
@@ -227,9 +227,8 @@ def test_criterion_09_gain_ratio_scaling(scn, sigma, steer, wishart_sweep):
     total = 0
     for d in range(10):
         sigma_t, _ = gen_sigma_t(StreamKey(3114, (d,)), sigma, steer, MismatchSpec("ger_chol", 6.0))
-        om = omega_decompose(sigma, sigma_t, steer)
         sampler = make_sampler(sigma, sigma_t, steer, K)
-        total += count_exceedances(StreamKey(3115, (d,)), kalson(om.schur), ETA3, sampler,
+        total += count_exceedances(StreamKey(3115, (d,)), kalson(sampler.r), ETA3, sampler,
                                    1_000_000, workers=3)
     pooled = PfaEstimate.from_counts(total, 10_000_000)
     nominal = pooled.ci_lo <= 1e-3 <= pooled.ci_hi

@@ -9,7 +9,6 @@ from cfarmismatch.detect import (
     gen_data_batch,
     kalson,
     pairs_from_raw,
-    raw_stats,
     raw_stats_batch,
     stat_values,
 )
@@ -18,6 +17,25 @@ from cfarmismatch.mcengine import MisSetup, draw_pairs
 from cfarmismatch.mismatch import MismatchSpec, gen_sigma_t
 from cfarmismatch.randkit import StreamKey, standard_circular
 from cfarmismatch.scenario import ScenarioCfg, build_cov, build_steering, snr_to_alpha
+
+
+def raw_stats(x, xt, v):
+    """(s1, s2) of one trial by the scalar LAPACK route: the independent
+    reference that ``raw_stats_batch`` is tested against.
+
+    ``xt`` is the N x K training data or any factor of their sample
+    covariance, since only xt xt^H is used. The factor l = R^H, from the QR
+    factorization xt^H = Q R, has l l^H = xt xt^H without forming that
+    product, which would square the condition number; the phases on R's
+    diagonal change neither s1 nor s2.
+    """
+    l = np.linalg.qr(xt.conj().T, mode="r").conj().T
+    a = np.linalg.solve(l, x)
+    b = np.linalg.solve(l, v)
+    s1 = float(np.vdot(a, a).real)
+    bb = float(np.vdot(b, b).real)
+    s2 = float(abs(np.vdot(a, b)) ** 2 / bb)
+    return s1, s2
 
 
 def dense_factor(factor, dtype=complex):

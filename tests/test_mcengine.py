@@ -32,7 +32,7 @@ from cfarmismatch.mcengine import (
 )
 from cfarmismatch.mismatch import MismatchSpec, gen_sigma_t, omega_decompose
 from cfarmismatch.randkit import StreamKey, beta_cdf, wilson_ci
-from cfarmismatch.scenario import ScenarioCfg, build_cov, build_steering, snr_to_alpha
+from cfarmismatch.scenario import ScenarioCfg, build_cov, build_steering, snr_to_alpha, whitened_quad
 from cfarmismatch.storep import make_sampler
 
 N, K = 16, 32
@@ -432,6 +432,33 @@ def test_a_pool_task_is_a_fixed_run_of_chunks(in_process_pool, monkeypatch):
         assert in_process_pool[-1] == ("tasks", 7)
 
 
+@pytest.mark.parametrize("path", ["fast", "direct"])
+def test_chunks_past_the_detection_trials_draw_no_shifts(sigma, steer, monkeypatch, path):
+    # 3 chunks of false-alarm trials, 1 of them with detection trials too.
+    source = nomismatch_sampler(N, K) if path == "fast" else setup_for(sigma, sigma, steer)
+    eta = kelly_threshold(1e-2, N, K)
+    scores = ((KELLY, eta), (AMF, calibrate_threshold(AMF, N, K, 1e-2)))
+    shifts = (0.7, 1.3)
+    args = (StreamKey(449), source, scores, 2 * mcengine.CHUNK + 100)
+    unpatched = mcengine._count(*args, shifts=shifts, pd_trials=1_000)
+    seen = []
+
+    def recording(stream, source, size, *shifts):
+        seen.append(shifts)
+        return draw_pairs(stream, source, size, *shifts)
+
+    monkeypatch.setattr(mcengine, "draw_pairs", recording)
+    assert mcengine._count(*args, shifts=shifts, pd_trials=1_000) == unpatched
+    assert len(unpatched) == 4
+    assert seen == [shifts, (), ()]
+
+
+def test_beta_rule_is_built_once_per_shape():
+    beta, w = mcengine._beta_rule(N, K)
+    assert mcengine._beta_rule(N, K)[0] is beta
+    assert not beta.flags.writeable and not w.flags.writeable
+
+
 def test_worker_count_is_clamped_to_the_cpus(in_process_pool, monkeypatch):
     # No process starts: the fake records the pool size the engine asks for.
     monkeypatch.setattr(mcengine, "available_cpus", lambda: 3)
@@ -528,8 +555,37 @@ def test_sweep_clairvoyant_kappa_tracks_schur(scn, sigma, steer):
     for row in res.rows:
         st, _ = gen_sigma_t(StreamKey(420).child(row.draw_id, 0), sigma, steer,
                             MismatchSpec("ger_chol", 6.0))
-        om = omega_decompose(sigma, st, steer)
-        assert abs(row.kappa - 2.0 * om.schur) < 1e-10 * row.kappa
+        om = omega_decompose(sigma, st, steer, K)
+        assert abs(row.kappa - 2.0 * om.r) < 1e-10 * row.kappa
+
+
+def test_direct_clairvoyant_kappa_is_the_quad_ratio(scn, sigma, steer):
+    # The oracle takes r from v^H inv(sigma_t) v / v^H inv(sigma) v, not from
+    # the representation's Schur complement.
+    spec = MismatchSpec("inv_wishart", 6.0)
+    plans = (DetectorPlan(label="c2", threshold=0.31, clairvoyant_c=2.0),)
+    res = sweep(StreamKey(447), scn, spec, plans, n_draws=3, n_trials=2_000, path="direct")
+    assert not res.errors and len(res.rows) == 3
+    v_quad = whitened_quad(sigma, steer)
+    for row in res.rows:
+        st, _ = gen_sigma_t(StreamKey(447).child(row.draw_id, 0), sigma, steer, spec)
+        assert row.kappa == 2.0 * (whitened_quad(st, steer) / v_quad)
+
+
+def test_only_the_fast_path_decomposes_a_draw(scn, monkeypatch):
+    def broken(*args):
+        raise RuntimeError("representation geometry failed")
+
+    monkeypatch.setattr(mcengine, "omega_decompose", broken)
+    plans = (DetectorPlan(label="kelly", threshold=0.31, kind=KELLY),
+             DetectorPlan(label="c1", threshold=0.31, clairvoyant_c=1.0))
+    spec = MismatchSpec("inv_wishart", 6.0)
+    direct = sweep(StreamKey(448), scn, spec, plans, n_draws=3, n_trials=1_000, path="direct")
+    assert not direct.errors and len(direct.rows) == 6
+    fast = sweep(StreamKey(448), scn, spec, plans, n_draws=3, n_trials=1_000, path="fast")
+    assert fast.rows == ()
+    assert [d for d, _ in fast.errors] == [0, 1, 2]
+    assert all("representation geometry failed" in msg for _, msg in fast.errors)
 
 
 def test_sweep_wishart_inflates_false_alarms_amf_most(scn):
@@ -653,7 +709,8 @@ def test_false_alarm_counts_do_not_depend_on_detection_trials(scn, path):
 
 def test_a_draw_scores_detection_on_its_false_alarm_trials(scn, monkeypatch):
     # One trial set per draw, max(n_trials, pd_trials) long, with every
-    # plan's signal: not one more set per plan.
+    # plan's signal: not one more set per plan. The chunk past the 3000
+    # detection trials draws no signal.
     drawn = []
     draw = mcengine.draw_pairs
 
@@ -666,7 +723,7 @@ def test_a_draw_scores_detection_on_its_false_alarm_trials(scn, monkeypatch):
                 n_draws=2, n_trials=5000, pd_trials=3000, path="direct")
     assert not res.errors
     assert sum(size for size, _ in drawn) == 2 * 5000
-    assert {m for _, m in drawn} == {2}
+    assert drawn == [(2048, 2), (2048, 2), (904, 0)] * 2
 
 
 def test_sweep_direct_path_matches_fast_in_probability(scn):

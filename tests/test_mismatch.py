@@ -16,6 +16,7 @@ from cfarmismatch.mismatch import (
 from cfarmismatch.randkit import StreamKey
 from cfarmismatch.scenario import ScenarioCfg, build_cov, build_steering
 
+K = ScenarioCfg().k
 
 def draw(stream, sigma, v, variant, delta_db=6.0, **kw):
     return gen_sigma_t(stream, sigma, v, MismatchSpec(variant, delta_db, **kw))
@@ -180,17 +181,17 @@ def test_ger_eig_lambda_matches_drawn_scalar(sigma, steer):
 
 
 def test_omega_identity_case(sigma, steer):
-    om = omega_decompose(sigma, sigma, steer)
+    om = omega_decompose(sigma, sigma, steer, K)
     assert np.abs(om.lam - 1.0).max() < 1e-10
     assert np.linalg.norm(om.b) < 1e-10
-    assert abs(om.schur - 1.0) < 1e-10
+    assert abs(om.r - 1.0) < 1e-10
 
 
 def test_omega_cross_row_vanishes_under_ger(sigma, steer):
     root = StreamKey(114)
     for i in range(5):
         st, _ = draw(root.child(i), sigma, steer, "ger_chol")
-        om = omega_decompose(sigma, st, steer)
+        om = omega_decompose(sigma, st, steer, K)
         assert np.linalg.norm(om.b) < 1e-8
 
 
@@ -198,23 +199,23 @@ def test_omega_schur_equals_quad_ratio(sigma, steer):
     root = StreamKey(115)
     for i, variant in enumerate(("inv_wishart", "eig_jitter", "ger_chol", "ger_eig")):
         st, _ = draw(root.child(i), sigma, steer, variant)
-        om = omega_decompose(sigma, st, steer)
+        om = omega_decompose(sigma, st, steer, K)
         num = (steer.conj() @ np.linalg.solve(st, steer)).real
         den = (steer.conj() @ np.linalg.solve(sigma, steer)).real
-        assert abs(om.schur - num / den) < 1e-10 * (num / den)
+        assert abs(om.r - num / den) < 1e-10 * (num / den)
 
 
 def test_omega_schur_tracks_pinned_scalar(sigma, steer):
     st, meta = draw(StreamKey(116), sigma, steer, "ger_chol", pin_psi22=1.0)
     assert meta["psi22"] == 1.0
-    om = omega_decompose(sigma, st, steer)
-    assert abs(om.schur - 1.0) < 1e-8
+    om = omega_decompose(sigma, st, steer, K)
+    assert abs(om.r - 1.0) < 1e-8
 
 
 def test_omega_ger_chol_schur_is_drawn_scalar(sigma, steer):
     st, meta = draw(StreamKey(117), sigma, steer, "ger_chol")
-    om = omega_decompose(sigma, st, steer)
-    assert abs(om.schur - meta["psi22"]) < 1e-8 * meta["psi22"]
+    om = omega_decompose(sigma, st, steer, K)
+    assert abs(om.r - meta["psi22"]) < 1e-8 * meta["psi22"]
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
@@ -227,10 +228,10 @@ def test_omega_decomposes_ill_conditioned_scenario(variant):
     root = StreamKey(118).child(VARIANTS.index(variant))
     for i in range(5):
         st, _ = draw(root.child(i), sigma, steer, variant)
-        om = omega_decompose(sigma, st, steer)
+        om = omega_decompose(sigma, st, steer, scn.k)
         num = (steer.conj() @ np.linalg.solve(st, steer)).real
         den = (steer.conj() @ np.linalg.solve(sigma, steer)).real
-        assert abs(om.schur - num / den) < 1e-6 * (num / den)
+        assert abs(om.r - num / den) < 1e-6 * (num / den)
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
@@ -244,16 +245,16 @@ def test_omega_eigenbasis_matches_cholesky_route(variant):
     root = StreamKey(118).child(VARIANTS.index(variant))
     for i in range(5):
         st, _ = draw(root.child(i), sigma, steer, variant)
-        om = omega_decompose(sigma, st, steer)
+        om = omega_decompose(sigma, st, steer, scn.k)
         omega, _ = _rotated_omega(sigma, st, steer)
         o11, o12, o22 = omega[:-1, :-1], omega[:-1, -1], omega[-1, -1].real
         w = linalg.cho_solve((chol(o11), True), o12).conj()
         assert abs(np.vdot(om.b, om.b).real - (w @ o11 @ w.conj()).real) <= 1e-10 * o22
-        assert abs(om.schur - (o22 - (w @ o12).real)) <= 1e-10 * om.schur
+        assert abs(om.r - (o22 - (w @ o12).real)) <= 1e-10 * om.r
         assert np.all(np.diff(om.lam) >= 0)
 
 
 def test_omega_rejects_a_leading_block_that_is_not_positive_definite(steer):
     n = len(steer)
     with pytest.raises(NotPositiveDefiniteError, match="eigenvalue"):
-        omega_decompose(-np.eye(n, dtype=complex), np.eye(n, dtype=complex), steer)
+        omega_decompose(-np.eye(n, dtype=complex), np.eye(n, dtype=complex), steer, K)

@@ -12,7 +12,7 @@ from cfarmismatch.detect import (
     stat_values,
 )
 from cfarmismatch.mcengine import MisSetup, draw_pairs
-from cfarmismatch.mismatch import MismatchSpec, check_ger, gen_sigma_t
+from cfarmismatch.mismatch import MismatchSpec, check_ger, gen_sigma_t, omega_decompose
 from cfarmismatch.randkit import StreamKey, beta_cdf, cf1_survival
 from cfarmismatch.scenario import ScenarioCfg, build_cov, build_steering, snr_to_alpha, whitened_quad
 from cfarmismatch.storep import RepSampler, make_sampler, sample_pairs
@@ -56,6 +56,14 @@ def test_make_sampler_matched_fields(sigma, steer):
     assert np.linalg.norm(s.b) < 1e-10
     assert abs(s.r - 1.0) < 1e-10
     assert abs(s.vt_quad - whitened_quad(sigma, steer)) < 1e-10 * s.vt_quad
+
+
+def test_make_sampler_is_omega_decompose(sigma, steer):
+    st, _ = gen_sigma_t(StreamKey(339), sigma, steer, MismatchSpec("inv_wishart", 6.0))
+    om, s = omega_decompose(sigma, st, steer, K), make_sampler(sigma, st, steer, K)
+    assert (om.n, om.k, om.r, om.vt_quad) == (s.n, s.k, s.r, s.vt_quad)
+    assert om.lam.tobytes() == s.lam.tobytes()
+    assert om.b.tobytes() == s.b.tobytes()
 
 
 def test_make_sampler_ger_input_kills_cross_row(sigma, steer):
