@@ -16,6 +16,7 @@ import argparse
 import dataclasses
 import os
 import sys
+from concurrent.futures import BrokenExecutor
 from pathlib import Path
 
 import numpy as np
@@ -296,15 +297,31 @@ def _summarize(res) -> dict:
     return summary
 
 
-def _finish_sweep(res, out: Path, name: str, meta: dict, head: dict, summary: dict) -> int:
-    """Write ``<name>.csv`` and ``<name>_summary.json``, report failed draws,
-    and return the exit code."""
+def _run_sweep(cfg: RunConfig, workers: int, path: str, out: Path, name: str,
+               plans, head: dict, plot) -> int:
+    """Sweep ``plans`` over the config's draws; write ``<name>.csv``,
+    ``<name>_summary.json`` (``head``, the summary, failed draws) and the
+    scatter figure ``plot`` = (file, row -> (x, y), svg_plot keywords) of each
+    plan's draws with a false alarm. Print the summary; return the exit code."""
+    res = sweep(StreamKey(cfg.seed).child(_EXP_SWEEP), cfg.scenario, cfg.mismatch, plans,
+                cfg.n_draws, cfg.trials.pfa, pd_trials=cfg.trials.pd, workers=workers, path=path)
+    meta = run_meta(cfg, path)
+    summary = _summarize(res)
+    file, point, labels = plot
+    series = []
+    for plan in plans:
+        points = [point(r) for r in res.rows if r.detector == plan.label and r.pfa_hat > 0]
+        if points:
+            series.append((plan.label, *np.array(points, dtype=float).T))
+    if series:
+        svg_plot(out / file, series, meta=meta, scatter=True, **labels)
     write_csv(out / f"{name}.csv", SWEEP_FIELDS, [vars(row) for row in res.rows], meta)
-    write_json(out / f"{name}_summary.json", {
-        **head,
-        "summary": summary,
-        "errors": [list(e) for e in res.errors],
-    }, meta)
+    write_json(out / f"{name}_summary.json",
+               {**head, "summary": summary, "errors": [list(e) for e in res.errors]}, meta)
+    for label, entry in summary.items():
+        fields = " ".join(f"{key}={val:.4g}" if isinstance(val, float) else f"{key}={val}"
+                          for key, val in entry.items())
+        _print(f"{label:>18s}: {fields}")
     _print(f"wrote {out / f'{name}.csv'} ({len(res.rows)} rows)")
     for draw_id, err in res.errors:
         _print(f"draw {draw_id} failed: {err}")
@@ -314,70 +331,31 @@ def _finish_sweep(res, out: Path, name: str, meta: dict, head: dict, summary: di
 def cmd_sweep(cfg: RunConfig, workers: int, path: str, out: Path) -> int:
     sc = cfg.scenario
     entries = _calibrate(cfg, workers)
-    plans = [
-        DetectorPlan(label=det_label(e.kind), threshold=e.threshold, kind=e.kind)
-        for e in entries
-    ]
+    plans = [DetectorPlan(label=det_label(e.kind), threshold=e.threshold, kind=e.kind)
+             for e in entries]
     eta_nominal = kelly_threshold(cfg.pfa_target, sc.n, sc.k)
-    for c in cfg.clairvoyant_c:
-        plans.append(DetectorPlan(label=clairvoyant_label(c), threshold=eta_nominal,
-                                  clairvoyant_c=c))
-    res = sweep(StreamKey(cfg.seed).child(_EXP_SWEEP), sc, cfg.mismatch, plans,
-                cfg.n_draws, cfg.trials.pfa, workers=workers, path=path)
-    meta = run_meta(cfg, path)
-    summary = _summarize(res)
-
-    series = []
-    for plan in plans:
-        rows = [r for r in res.rows if r.detector == plan.label and r.pfa_hat > 0]
-        if rows:
-            series.append((plan.label,
-                           np.array([r.draw_id for r in rows], dtype=float),
-                           np.log10([r.pfa_hat for r in rows])))
-    if series:
-        svg_plot(out / "sweep_pfa.svg", series,
-                 title=f"False alarm per draw ({cfg.mismatch.variant})",
-                 xlabel="draw", ylabel="log10 Pfa", meta=meta, scatter=True)
-    for label, entry in summary.items():
-        mean_part = (
-            f"mean log10 Pfa={entry['mean_log10_pfa']:.3f} std={entry['std_log10_pfa']:.3f}"
-            if "mean_log10_pfa" in entry else "all draws at zero exceedances"
-        )
-        _print(f"{label:>18s}: {mean_part} zero-draws={entry['zero_exceedance_draws']}")
-    return _finish_sweep(res, out, "sweep", meta, {"thresholds": _thresholds_json(entries)}, summary)
+    plans += [DetectorPlan(label=clairvoyant_label(c), threshold=eta_nominal, clairvoyant_c=c)
+              for c in cfg.clairvoyant_c]
+    return _run_sweep(cfg, workers, path, out, "sweep", plans,
+                      {"thresholds": _thresholds_json(entries)},
+                      ("sweep_pfa.svg", lambda r: (r.draw_id, np.log10(r.pfa_hat)),
+                       dict(title=f"False alarm per draw ({cfg.mismatch.variant})",
+                            xlabel="draw", ylabel="log10 Pfa")))
 
 
 def cmd_roc(cfg: RunConfig, workers: int, path: str, out: Path) -> int:
     sc = cfg.scenario
     entries = _calibrate(cfg, workers)
-    plans = []
-    snr_report = {}
-    for e in entries:
-        snr = calibrate_snr(e.kind, e.threshold, sc.n, sc.k, cfg.pd_target)
-        snr_report[det_label(e.kind)] = {"snr_linear": snr, "snr_db": 10.0 * float(np.log10(snr))}
-        plans.append(DetectorPlan(label=det_label(e.kind), threshold=e.threshold,
-                                  kind=e.kind, snr_linear=snr))
-    res = sweep(StreamKey(cfg.seed).child(_EXP_SWEEP), sc, cfg.mismatch, plans,
-                cfg.n_draws, cfg.trials.pfa, pd_trials=cfg.trials.pd, workers=workers, path=path)
-    meta = run_meta(cfg, path)
-    summary = _summarize(res)
-
-    series = []
-    for plan in plans:
-        rows = [r for r in res.rows if r.detector == plan.label and r.pfa_hat > 0]
-        if rows:
-            series.append((plan.label,
-                           np.array([r.pfa_hat for r in rows]),
-                           np.array([r.pd_hat for r in rows])))
-    if series:
-        svg_plot(out / "roc_scatter.svg", series,
-                 title=f"Operating points over draws ({cfg.mismatch.variant})",
-                 xlabel="Pfa", ylabel="Pd", meta=meta, scatter=True, logx=True)
-    for label, entry in summary.items():
-        pd_part = f"mean Pd={entry['mean_pd']:.3f} std={entry['std_pd']:.3f}" if "mean_pd" in entry else ""
-        _print(f"{label:>12s}: mean Pfa={entry['mean_pfa']:.3e} {pd_part}")
-    return _finish_sweep(res, out, "roc", meta,
-                         {"thresholds": _thresholds_json(entries), "snr": snr_report}, summary)
+    plans = [DetectorPlan(label=det_label(e.kind), threshold=e.threshold, kind=e.kind,
+                          snr_linear=calibrate_snr(e.kind, e.threshold, sc.n, sc.k, cfg.pd_target))
+             for e in entries]
+    snr_report = {p.label: {"snr_linear": p.snr_linear, "snr_db": 10.0 * float(np.log10(p.snr_linear))}
+                  for p in plans}
+    return _run_sweep(cfg, workers, path, out, "roc", plans,
+                      {"thresholds": _thresholds_json(entries), "snr": snr_report},
+                      ("roc_scatter.svg", lambda r: (r.pfa_hat, r.pd_hat),
+                       dict(title=f"Operating points over draws ({cfg.mismatch.variant})",
+                            xlabel="Pfa", ylabel="Pd", logx=True)))
 
 
 _COMMANDS = {
@@ -414,6 +392,8 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     try:
         return _COMMANDS[args.command](cfg, workers, args.path, out)
+    except BrokenExecutor:
+        raise  # a RuntimeError, but a dead worker is no numerical failure
     except (NotPositiveDefiniteError, RuntimeError, ArithmeticError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC

@@ -105,8 +105,10 @@ class DetectorPlan:
     def __post_init__(self):
         if (self.kind is None) == (self.clairvoyant_c is None):
             raise ValueError("exactly one of kind / clairvoyant_c must be set")
-        if self.threshold < 0:
+        if not self.threshold >= 0:
             raise ValueError(f"threshold must be >= 0, got {self.threshold}")
+        if self.snr_linear is not None and not 0 <= self.snr_linear < math.inf:
+            raise ValueError(f"snr_linear must be finite and >= 0, got {self.snr_linear}")
 
     def resolve(self, r: float) -> DetectorKind:
         if self.kind is not None:
@@ -495,14 +497,13 @@ def _sweep_draw(args):
         kinds = [plan.resolve(r) for plan in plans]
         counts = _count(draw_stream.child(_PURPOSE_H0), source,
                         tuple((kd, plan.threshold) for kd, plan in zip(kinds, plans)),
-                        n_trials, shifts=tuple(a for a in alphas if a is not None),
-                        pd_trials=pd_trials)
+                        n_trials, shifts=alphas, pd_trials=pd_trials)
 
         rows = []
         for pi, (plan, kd, count) in enumerate(zip(plans, kinds, counts)):
             est = PfaEstimate.from_counts(count, n_trials)
             pd_fields = {}
-            if plan.snr_linear is not None:
+            if alphas:
                 pe = PfaEstimate.from_counts(counts[len(plans) + pi], pd_trials)
                 snr_db = 10.0 * np.log10(plan.snr_linear) if plan.snr_linear > 0 else float("-inf")
                 pd_fields = dict(
@@ -556,12 +557,11 @@ def sweep(stream, scenario: ScenarioCfg, mspec: MismatchSpec, plans, n_draws: in
     missing = [plan.label for plan in plans if plan.snr_linear is None]
     if 0 < len(missing) < len(plans):
         raise ValueError(f"plans {missing} have no calibrated SNR for P_d rows, but others do")
-    # Sigma, v, v^H inv(Sigma) v and each plan's signal amplitude are fixed
-    # for the whole sweep, so every draw shares them.
+    # Sigma, v, v^H inv(Sigma) v and each plan's signal amplitude (none
+    # without P_d) are fixed for the whole sweep, so every draw shares them.
     sigma = build_cov(scenario)
     v = build_steering(scenario.n, scenario.fd)
-    alphas = tuple(None if plan.snr_linear is None else snr_to_alpha(plan.snr_linear, sigma, v)
-                   for plan in plans)
+    alphas = () if missing else tuple(snr_to_alpha(plan.snr_linear, sigma, v) for plan in plans)
     fixed = (sigma, v, whitened_quad(sigma, v), scenario.k, alphas)
     args = [
         (stream.child(d), d, fixed, mspec, plans, n_trials, pd_trials, path)

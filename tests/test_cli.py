@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
+from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
 import numpy as np
@@ -240,6 +241,59 @@ def test_sweep_is_byte_identical_under_any_out(tmp_path):
     assert sorted(p.name for p in b.iterdir()) == names
     for name in names:
         assert (a / name).read_bytes() == (b / name).read_bytes()
+
+
+@pytest.mark.parametrize("command", ["sweep", "roc"])
+def test_summary_line_names_every_summary_field(tmp_path, capsys, command):
+    cfg = {**SWEEP_CFG, "seed": 931, "pd_target": 0.5,
+           "trials": {"calibration": 10_000, "pfa": 2_000, "pd": 2_000}}
+    path = write_cfg(tmp_path, "cfg.json", cfg)
+    out = tmp_path / "res"
+    assert main([command, "--config", path, "--out", str(out), "--workers", "1"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    summary = json.loads((out / f"{command}_summary.json").read_text())["summary"]
+    # roc ignores clairvoyant_c, so it has two plans where sweep has three
+    assert len(summary) == (3 if command == "sweep" else 2)
+    for label, entry in summary.items():
+        [line] = [line for line in lines if line.lstrip().startswith(f"{label}: ")]
+        keys = [field.partition("=")[0] for field in line.partition(": ")[2].split()]
+        assert keys == list(entry)
+
+
+def test_sweep_rows_do_not_depend_on_pd_trials(tmp_path):
+    rows = []
+    for pd_trials in (100, 1_000_000):
+        cfg = {**SWEEP_CFG, "trials": {**SWEEP_CFG["trials"], "pfa": 4_096, "pd": pd_trials}}
+        path = write_cfg(tmp_path, f"cfg{pd_trials}.json", cfg)
+        out = tmp_path / f"pd{pd_trials}"
+        assert main(["sweep", "--config", path, "--out", str(out), "--workers", "1"]) == 0
+        rows.append(read_csv(out / "sweep.csv")[1])
+    assert len(rows[0]) == 9
+    assert rows[1] == rows[0]
+
+
+def test_dead_worker_is_not_a_numerical_failure(tmp_path, monkeypatch):
+    # BrokenProcessPool is a RuntimeError, which main maps to exit code 3;
+    # a worker that died is a fault of the run, not of the numbers.
+    class DeadPool:
+        _broken = False
+
+        def __init__(self, max_workers):
+            pass
+
+        def map(self, fn, args_list, chunksize=1):
+            raise BrokenProcessPool("A process in the process pool was terminated abruptly")
+
+        def shutdown(self):
+            pass
+
+    mcengine.shutdown_pool()
+    monkeypatch.setattr(mcengine, "available_cpus", lambda: 2)
+    monkeypatch.setattr(mcengine, "ProcessPoolExecutor", DeadPool)
+    cfg = {"detectors": [{"kind": "kelly"}], "pfa_target": 1e-2, "trials": {"calibration": 10_000}}
+    path = write_cfg(tmp_path, "cfg.json", cfg)
+    with pytest.raises(BrokenProcessPool):
+        main(["calibrate", "--config", path, "--out", str(tmp_path / "res"), "--workers", "2"])
 
 
 @pytest.mark.parametrize("command,svg", [("sweep", "sweep_pfa.svg"), ("roc", "roc_scatter.svg")])

@@ -352,8 +352,12 @@ def test_detector_plan_validation():
         DetectorPlan(label="x", threshold=0.5, kind=KELLY, clairvoyant_c=1.0)
     with pytest.raises(ValueError):
         DetectorPlan(label="x", threshold=0.5)
-    with pytest.raises(ValueError):
-        DetectorPlan(label="x", threshold=-0.1, kind=KELLY)
+    for bad in (dict(threshold=-0.1), dict(threshold=float("nan")),
+                dict(threshold=0.5, snr_linear=float("nan")),
+                dict(threshold=0.5, snr_linear=float("inf")),
+                dict(threshold=0.5, snr_linear=-1.0)):
+        with pytest.raises(ValueError):
+            DetectorPlan(label="x", kind=KELLY, **bad)
     plan = DetectorPlan(label="c", threshold=0.5, clairvoyant_c=2.0)
     assert plan.resolve(0.7).kappa == pytest.approx(1.4)
     fixed = DetectorPlan(label="k", threshold=0.5, kind=KELLY)
