@@ -64,7 +64,12 @@ _EXP_SWEEP = 1
 _EXP_CDF = 3
 _EXP_VALIDATE = 4
 
-SWEEP_FIELDS = tuple(f.name for f in dataclasses.fields(SweepRow))
+# The columns of sweep.csv and roc.csv; ``_cells`` fills them from a row.
+SWEEP_FIELDS = (
+    "draw_id", "variant", "draw_meta", "detector", "kappa",
+    "n_trials", "exceedances", "pfa_hat", "ci_lo", "ci_hi",
+    "snr_db", "pd_n_trials", "pd_exceedances", "pd_hat", "pd_ci_lo", "pd_ci_hi",
+)
 
 
 class _UsageError(Exception):
@@ -272,13 +277,24 @@ def cmd_cdf(cfg: RunConfig, workers: int, path: str, out: Path) -> int:
     return EXIT_OK
 
 
+def _cells(row: SweepRow) -> dict:
+    """``row``'s cells by column: each estimate's fields, ``pd_``-prefixed for P_d,
+    with ``p_hat`` as ``pfa_hat`` or ``pd_hat``; None in the P_d cells without P_d."""
+    cells = {name: getattr(row, name)
+             for name in ("draw_id", "variant", "draw_meta", "detector", "kappa", "snr_db")}
+    for est, prefix, hat in ((row.pfa, "", "pfa_hat"), (row.pd, "pd_", "pd_hat")):
+        cells |= {hat if f == "p_hat" else prefix + f: None if est is None else getattr(est, f)
+                  for f in ("n_trials", "exceedances", "p_hat", "ci_lo", "ci_hi")}
+    return cells
+
+
 def _summarize(res) -> dict:
     by_label: dict[str, list] = {}
     for row in res.rows:
         by_label.setdefault(row.detector, []).append(row)
     summary = {}
     for label, rows in by_label.items():
-        pfa = np.array([r.pfa_hat for r in rows])
+        pfa = np.array([r.pfa.p_hat for r in rows])
         nonzero = pfa[pfa > 0]
         entry = {
             "draws": len(rows),
@@ -289,8 +305,8 @@ def _summarize(res) -> dict:
             logp = np.log10(nonzero)
             entry["mean_log10_pfa"] = float(np.mean(logp))
             entry["std_log10_pfa"] = float(np.std(logp, ddof=1)) if logp.size > 1 else 0.0
-        if rows[0].pd_hat is not None:
-            pd = np.array([r.pd_hat for r in rows])
+        if rows[0].pd is not None:
+            pd = np.array([r.pd.p_hat for r in rows])
             entry["mean_pd"] = float(np.mean(pd))
             entry["std_pd"] = float(np.std(pd, ddof=1)) if pd.size > 1 else 0.0
         summary[label] = entry
@@ -301,8 +317,8 @@ def _run_sweep(cfg: RunConfig, workers: int, path: str, out: Path, name: str,
                plans, head: dict, plot) -> int:
     """Sweep ``plans`` over the config's draws; write ``<name>.csv``,
     ``<name>_summary.json`` (``head``, the summary, failed draws) and the
-    scatter figure ``plot`` = (file, row -> (x, y), svg_plot keywords) of each
-    plan's draws with a false alarm. Print the summary; return the exit code."""
+    scatter ``plot`` = (file, row -> (x, y), svg_plot keywords) of each plan's
+    draws with a false alarm (none: no file). Print the summary; return the exit code."""
     res = sweep(StreamKey(cfg.seed).child(_EXP_SWEEP), cfg.scenario, cfg.mismatch, plans,
                 cfg.n_draws, cfg.trials.pfa, pd_trials=cfg.trials.pd, workers=workers, path=path)
     meta = run_meta(cfg, path)
@@ -310,12 +326,14 @@ def _run_sweep(cfg: RunConfig, workers: int, path: str, out: Path, name: str,
     file, point, labels = plot
     series = []
     for plan in plans:
-        points = [point(r) for r in res.rows if r.detector == plan.label and r.pfa_hat > 0]
+        points = [point(r) for r in res.rows if r.detector == plan.label and r.pfa.p_hat > 0]
         if points:
             series.append((plan.label, *np.array(points, dtype=float).T))
     if series:
         svg_plot(out / file, series, meta=meta, scatter=True, **labels)
-    write_csv(out / f"{name}.csv", SWEEP_FIELDS, [vars(row) for row in res.rows], meta)
+    else:  # nothing to plot; an earlier run's figure would not match the files
+        (out / file).unlink(missing_ok=True)
+    write_csv(out / f"{name}.csv", SWEEP_FIELDS, [_cells(row) for row in res.rows], meta)
     write_json(out / f"{name}_summary.json",
                {**head, "summary": summary, "errors": [list(e) for e in res.errors]}, meta)
     for label, entry in summary.items():
@@ -338,7 +356,7 @@ def cmd_sweep(cfg: RunConfig, workers: int, path: str, out: Path) -> int:
               for c in cfg.clairvoyant_c]
     return _run_sweep(cfg, workers, path, out, "sweep", plans,
                       {"thresholds": _thresholds_json(entries)},
-                      ("sweep_pfa.svg", lambda r: (r.draw_id, np.log10(r.pfa_hat)),
+                      ("sweep_pfa.svg", lambda r: (r.draw_id, np.log10(r.pfa.p_hat)),
                        dict(title=f"False alarm per draw ({cfg.mismatch.variant})",
                             xlabel="draw", ylabel="log10 Pfa")))
 
@@ -349,11 +367,10 @@ def cmd_roc(cfg: RunConfig, workers: int, path: str, out: Path) -> int:
     plans = [DetectorPlan(label=det_label(e.kind), threshold=e.threshold, kind=e.kind,
                           snr_linear=calibrate_snr(e.kind, e.threshold, sc.n, sc.k, cfg.pd_target))
              for e in entries]
-    snr_report = {p.label: {"snr_linear": p.snr_linear, "snr_db": 10.0 * float(np.log10(p.snr_linear))}
-                  for p in plans}
+    snr_report = {p.label: {"snr_linear": p.snr_linear, "snr_db": p.snr_db} for p in plans}
     return _run_sweep(cfg, workers, path, out, "roc", plans,
                       {"thresholds": _thresholds_json(entries), "snr": snr_report},
-                      ("roc_scatter.svg", lambda r: (r.pfa_hat, r.pd_hat),
+                      ("roc_scatter.svg", lambda r: (r.pfa.p_hat, r.pd.p_hat),
                        dict(title=f"Operating points over draws ({cfg.mismatch.variant})",
                             xlabel="Pfa", ylabel="Pd", logx=True)))
 

@@ -115,25 +115,26 @@ class DetectorPlan:
             return self.kind
         return kalson(self.clairvoyant_c * r)
 
+    @property
+    def snr_db(self) -> float | None:
+        """The calibrated SNR in dB: None without one, -inf at 0."""
+        if self.snr_linear is None:
+            return None
+        return float(10.0 * np.log10(self.snr_linear)) if self.snr_linear > 0 else float("-inf")
+
 
 @dataclass(frozen=True)
 class SweepRow:
+    """One plan on one draw: its P_fa and, when the plan has an SNR, that SNR and its P_d."""
+
     draw_id: int
     variant: str
     draw_meta: str
     detector: str
     kappa: float | None
-    n_trials: int
-    exceedances: int
-    pfa_hat: float
-    ci_lo: float
-    ci_hi: float
+    pfa: PfaEstimate
     snr_db: float | None = None
-    pd_n_trials: int | None = None
-    pd_exceedances: int | None = None
-    pd_hat: float | None = None
-    pd_ci_lo: float | None = None
-    pd_ci_hi: float | None = None
+    pd: PfaEstimate | None = None
 
 
 @dataclass(frozen=True)
@@ -499,35 +500,12 @@ def _sweep_draw(args):
                         tuple((kd, plan.threshold) for kd, plan in zip(kinds, plans)),
                         n_trials, shifts=alphas, pd_trials=pd_trials)
 
-        rows = []
-        for pi, (plan, kd, count) in enumerate(zip(plans, kinds, counts)):
-            est = PfaEstimate.from_counts(count, n_trials)
-            pd_fields = {}
-            if alphas:
-                pe = PfaEstimate.from_counts(counts[len(plans) + pi], pd_trials)
-                snr_db = 10.0 * np.log10(plan.snr_linear) if plan.snr_linear > 0 else float("-inf")
-                pd_fields = dict(
-                    snr_db=snr_db,
-                    pd_n_trials=pd_trials,
-                    pd_exceedances=pe.exceedances,
-                    pd_hat=pe.p_hat,
-                    pd_ci_lo=pe.ci_lo,
-                    pd_ci_hi=pe.ci_hi,
-                )
-            rows.append(SweepRow(
-                draw_id=draw_id,
-                variant=mspec.variant,
-                draw_meta=digest,
-                detector=plan.label,
-                kappa=kd.kappa,
-                n_trials=n_trials,
-                exceedances=est.exceedances,
-                pfa_hat=est.p_hat,
-                ci_lo=est.ci_lo,
-                ci_hi=est.ci_hi,
-                **pd_fields,
-            ))
-        return rows, None
+        return [SweepRow(draw_id=draw_id, variant=mspec.variant, draw_meta=digest,
+                         detector=plan.label, kappa=kd.kappa,
+                         pfa=PfaEstimate.from_counts(count, n_trials), snr_db=plan.snr_db,
+                         pd=PfaEstimate.from_counts(counts[len(plans) + pi], pd_trials)
+                         if alphas else None)
+                for pi, (plan, kd, count) in enumerate(zip(plans, kinds, counts))], None
     except (ValueError, RuntimeError, ArithmeticError, np.linalg.LinAlgError) as exc:
         # A numerical failure is recorded per draw; anything else is a bug and propagates.
         return [], f"{type(exc).__name__}: {exc}"
@@ -568,14 +546,9 @@ def sweep(stream, scenario: ScenarioCfg, mspec: MismatchSpec, plans, n_draws: in
         for d in range(n_draws)
     ]
     results = _map_chunks(_sweep_draw, args, workers)
-    rows: list[SweepRow] = []
-    errors: list[tuple[int, str]] = []
-    for draw_id, (draw_rows, err) in enumerate(results):
-        if err is not None:
-            errors.append((draw_id, err))
-        else:
-            rows.extend(draw_rows)
-    return SweepResult(rows=tuple(rows), errors=tuple(errors))
+    # A failed draw has no rows, so its error is all that it adds.
+    return SweepResult(rows=tuple(row for draw_rows, _ in results for row in draw_rows),
+                       errors=tuple((d, err) for d, (_, err) in enumerate(results) if err is not None))
 
 
 def ecdf(values):

@@ -14,6 +14,7 @@ import pytest
 from scipy import stats
 
 from cfarmismatch import mcengine
+from cfarmismatch.cli import _cells
 from cfarmismatch.detect import AMF, KELLY, gen_data_batch, kalson, pairs_from_raw, raw_stats_batch, stat_values
 from cfarmismatch.mcengine import (
     DetectorPlan,
@@ -85,7 +86,7 @@ def wishart_sweep(scn, amf_eta):
 
 
 def _pfa_by_label(res, label):
-    vals = np.array([r.pfa_hat for r in res.rows if r.detector == label])
+    vals = np.array([r.pfa.p_hat for r in res.rows if r.detector == label])
     assert vals.size == SWEEP_DRAWS
     return vals
 
@@ -262,7 +263,7 @@ def test_criterion_11_parallel_rerun_is_byte_identical(tmp_path, scn, amf_eta, w
     meta = {"seed": 3302, "sweep": "acceptance wishart"}
     p1, p2 = tmp_path / "sweep_w3.csv", tmp_path / "sweep_w2.csv"
     for path, res in ((p1, wishart_sweep), (p2, res2)):
-        rows = [{name: getattr(row, name) for name in SWEEP_FIELDS} for row in res.rows]
+        rows = [_cells(row) for row in res.rows]
         write_csv(path, SWEEP_FIELDS, rows, meta)
     same = p1.read_bytes() == p2.read_bytes()
     _line(11, same, f"3-worker and 2-worker sweeps wrote identical CSVs "

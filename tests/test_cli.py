@@ -1,5 +1,6 @@
 """End-to-end command line runs on small configs, in process via main()."""
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -16,7 +17,7 @@ from cfarmismatch import cli, mcengine
 from cfarmismatch.cli import SWEEP_FIELDS, main
 from cfarmismatch.config import config_hash, from_dict
 from cfarmismatch.detect import AMF
-from cfarmismatch.mcengine import calibrate_threshold, kelly_threshold
+from cfarmismatch.mcengine import PfaEstimate, SweepRow, calibrate_threshold, kelly_threshold
 from cfarmismatch.report import read_csv
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
@@ -190,7 +191,8 @@ def test_sweep_csv_schema_and_summary(tmp_path, capsys):
 
     raw = (out / "sweep.csv").read_text().splitlines()
     header = next(line for line in raw if not line.startswith("# "))
-    assert header == ",".join(SWEEP_FIELDS)
+    assert header == ("draw_id,variant,draw_meta,detector,kappa,n_trials,exceedances,pfa_hat,"
+                      "ci_lo,ci_hi,snr_db,pd_n_trials,pd_exceedances,pd_hat,pd_ci_lo,pd_ci_hi")
 
     _, rows = read_csv(out / "sweep.csv")
     assert len(rows) == 3 * 3
@@ -348,6 +350,44 @@ def test_sweep_runs_ill_conditioned_scenario(tmp_path):
     assert json.loads((out / "sweep_summary.json").read_text())["errors"] == []
 
 
+def test_cells_put_each_estimate_field_in_its_column():
+    pfa = PfaEstimate(p_hat=0.25, n_trials=8, ci_lo=0.0625, ci_hi=0.5, exceedances=2)
+    pd = PfaEstimate(p_hat=0.75, n_trials=4, ci_lo=0.375, ci_hi=0.875, exceedances=3)
+    row = SweepRow(draw_id=7, variant="v", draw_meta="m", detector="d", kappa=1.5,
+                   pfa=pfa, snr_db=12.5, pd=pd)
+    cells = cli._cells(row)
+    assert cells == {
+        "draw_id": 7, "variant": "v", "draw_meta": "m", "detector": "d", "kappa": 1.5,
+        "n_trials": 8, "exceedances": 2, "pfa_hat": 0.25, "ci_lo": 0.0625, "ci_hi": 0.5,
+        "snr_db": 12.5, "pd_n_trials": 4, "pd_exceedances": 3, "pd_hat": 0.75,
+        "pd_ci_lo": 0.375, "pd_ci_hi": 0.875,
+    }
+    assert sorted(cells) == sorted(SWEEP_FIELDS)
+    pd_columns = ("snr_db", "pd_n_trials", "pd_exceedances", "pd_hat", "pd_ci_lo", "pd_ci_hi")
+    plain = cli._cells(dataclasses.replace(row, snr_db=None, pd=None))
+    assert all(plain[name] is None for name in pd_columns)
+    assert {k: v for k, v in plain.items() if k not in pd_columns} == {
+        k: v for k, v in cells.items() if k not in pd_columns}
+
+
+def test_a_run_without_false_alarms_leaves_no_figure(tmp_path):
+    # Two runs into one directory. The second has no false alarm to plot, so
+    # the first run's figure must not stay beside the second run's files.
+    out = tmp_path / "res"
+    base = {"scenario": {"n": 4, "k": 8}, "mismatch": {"variant": "identity"},
+            "detectors": [{"kind": "kelly"}], "n_draws": 2}
+    first = write_cfg(tmp_path, "first.json", {
+        **base, "pfa_target": 1e-2, "trials": {"calibration": 100_000, "pfa": 5000}})
+    second = write_cfg(tmp_path, "second.json", {
+        **base, "pfa_target": 1e-4, "trials": {"calibration": 1_000_000, "pfa": 100}})
+    assert main(["sweep", "--config", first, "--out", str(out), "--workers", "1"]) == 0
+    assert (out / "sweep_pfa.svg").is_file()
+    assert main(["sweep", "--config", second, "--out", str(out), "--workers", "1"]) == 0
+    summary = json.loads((out / "sweep_summary.json").read_text())["summary"]
+    assert summary["kelly"]["zero_exceedance_draws"] == 2
+    assert not (out / "sweep_pfa.svg").exists()
+
+
 def test_roc_joint_estimates_identity(tmp_path):
     cfg = {
         "seed": 909,
@@ -376,6 +416,8 @@ def test_roc_joint_estimates_identity(tmp_path):
     obj = json.loads((out / "roc_summary.json").read_text())
     snr = obj["snr"]["kelly"]
     assert snr["snr_db"] == pytest.approx(10.0 * np.log10(snr["snr_linear"]))
+    # the summary's SNR is the one in every row, to the bit
+    assert all(float(r["snr_db"]) == snr["snr_db"] for r in rows)
     assert obj["summary"]["kelly"]["mean_pd"] == pytest.approx(0.7, abs=0.05)
     assert ET.parse(out / "roc_scatter.svg").getroot() is not None
 

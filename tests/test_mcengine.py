@@ -364,6 +364,12 @@ def test_detector_plan_validation():
     assert fixed.resolve(0.7) == KELLY
 
 
+def test_detector_plan_snr_db():
+    assert DetectorPlan(label="k", threshold=0.5, kind=KELLY).snr_db is None
+    assert DetectorPlan(label="k", threshold=0.5, kind=KELLY, snr_linear=0.0).snr_db == -np.inf
+    assert DetectorPlan(label="k", threshold=0.5, kind=KELLY, snr_linear=100.0).snr_db == 20.0
+
+
 def test_estimate_prob_zero_threshold_is_one(sigma, steer):
     for source in (make_sampler(sigma, sigma, steer, K), setup_for(sigma, sigma, steer)):
         assert count_exceedances(StreamKey(405), KELLY, 0.0, source, 512) == 512
@@ -531,7 +537,7 @@ def test_sweep_identity_covers_targets(scn):
     assert not res.errors
     assert len(res.rows) == 10
     for row in res.rows:
-        assert row.ci_lo <= 1e-2 <= row.ci_hi, f"{row.detector} draw {row.draw_id}"
+        assert row.pfa.ci_lo <= 1e-2 <= row.pfa.ci_hi, f"{row.detector} draw {row.draw_id}"
 
 
 def test_sweep_rows_are_complete_and_ordered(scn):
@@ -544,10 +550,10 @@ def test_sweep_rows_are_complete_and_ordered(scn):
     assert [r.draw_id for r in res.rows] == [0, 0, 1, 1, 2, 2, 3, 3]
     assert {r.detector for r in res.rows} == {"kelly", "c1"}
     for row in res.rows:
-        assert row.n_trials == 20_000
+        assert row.pfa.n_trials == 20_000
         assert row.variant == "eig_jitter"
-        assert row.pfa_hat == row.exceedances / row.n_trials
-        assert row.snr_db is None and row.pd_hat is None
+        assert row.pfa.p_hat == row.pfa.exceedances / row.pfa.n_trials
+        assert row.snr_db is None and row.pd is None
         if row.detector == "c1":
             assert row.kappa is not None and row.kappa > 0
 
@@ -602,7 +608,7 @@ def test_sweep_wishart_inflates_false_alarms_amf_most(scn):
     assert not res.errors
     by = {}
     for row in res.rows:
-        by.setdefault(row.detector, []).append(row.pfa_hat)
+        by.setdefault(row.detector, []).append(row.pfa.p_hat)
     mean_kelly = float(np.mean(by["kelly"]))
     mean_amf = float(np.mean(by["amf"]))
     assert mean_kelly > 1e-2
@@ -616,7 +622,7 @@ def test_sweep_clairvoyant_exceedances_decrease_in_c(scn):
     res = sweep(StreamKey(423), scn, MismatchSpec("inv_wishart", 6.0), plans,
                 n_draws=2, n_trials=200_000)
     for draw_id in (0, 1):
-        counts = [r.exceedances for r in res.rows if r.draw_id == draw_id]
+        counts = [r.pfa.exceedances for r in res.rows if r.draw_id == draw_id]
         assert counts[0] > counts[1] > counts[2]
 
 
@@ -688,7 +694,7 @@ def test_pooled_detection_on_shared_trials_meets_the_matched_law(scn, path, seed
                 n_draws=8, n_trials=4096, pd_trials=4096, path=path)
     assert not res.errors
     for plan in plans:
-        count = sum(r.pd_exceedances for r in res.rows if r.detector == plan.label)
+        count = sum(r.pd.exceedances for r in res.rows if r.detector == plan.label)
         p = matched_exceedance(plan.kind, plan.threshold, N, K, plan.snr_linear)
         assert within_five_sigma(count, 8 * 4096, p), (plan.label, count / (8 * 4096), p)
 
@@ -698,7 +704,7 @@ def test_false_alarm_counts_do_not_depend_on_detection_trials(scn, path):
     # 3000 false-alarm trials end inside chunk 1; 5000 detection trials run
     # past them. No P_d at all, fewer P_d trials, or more: the same P_fa rows.
     plans = _pd_plans()
-    fields = ("draw_id", "detector", "n_trials", "exceedances", "pfa_hat", "ci_lo", "ci_hi")
+    fields = ("draw_id", "detector", "pfa")
     runs = [sweep(StreamKey(445), scn, MismatchSpec("inv_wishart", 6.0), plans,
                   n_draws=2, n_trials=3000, pd_trials=pd, path=path) for pd in (1000, 5000)]
     plain = sweep(StreamKey(445), scn, MismatchSpec("inv_wishart", 6.0),
@@ -708,7 +714,7 @@ def test_false_alarm_counts_do_not_depend_on_detection_trials(scn, path):
                 for res in (*runs, plain)]
     assert len(pfa_rows[0]) == 4
     assert pfa_rows[1] == pfa_rows[0] and pfa_rows[2] == pfa_rows[0]
-    assert [r.pd_n_trials for r in runs[1].rows] == [5000] * 4
+    assert [r.pd.n_trials for r in runs[1].rows] == [5000] * 4
 
 
 def test_a_draw_scores_detection_on_its_false_alarm_trials(scn, monkeypatch):
@@ -739,7 +745,7 @@ def test_sweep_direct_path_matches_fast_in_probability(scn):
                    n_draws=2, n_trials=20_000, path="direct")
     for fr, dr in zip(fast.rows, direct.rows):
         assert fr.draw_meta == dr.draw_meta  # same sigma_t draw per draw_id
-        assert fr.ci_lo <= dr.ci_hi and dr.ci_lo <= fr.ci_hi
+        assert fr.pfa.ci_lo <= dr.pfa.ci_hi and dr.pfa.ci_lo <= fr.pfa.ci_hi
 
 
 def test_sweep_records_per_draw_failures(scn):
@@ -786,8 +792,8 @@ def test_detection_is_steadier_than_false_alarm_rate(scn):
     res = sweep(StreamKey(429), scn, MismatchSpec("inv_wishart", 3.0), plans,
                 n_draws=30, n_trials=400_000, pd_trials=50_000)
     assert not res.errors
-    pfa = np.array([r.pfa_hat for r in res.rows])
-    pd = np.array([r.pd_hat for r in res.rows])
+    pfa = np.array([r.pfa.p_hat for r in res.rows])
+    pd = np.array([r.pd.p_hat for r in res.rows])
     assert (pfa > 0).all()
     spread_pfa = float(np.std(np.log10(pfa)))
     spread_pd = float(np.std(pd))
